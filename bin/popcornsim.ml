@@ -123,7 +123,7 @@ let trace_out =
 let baseline_out =
   let doc =
     "Write a metrics-only copy of the results (no spans/causal sections) to \
-     $(docv); small enough to commit as the perf-regression baseline for \
+     $(docv); small enough to commit as the simulated-metric baseline for \
      $(b,popcornsim diff)."
   in
   Arg.(
@@ -554,8 +554,8 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two results files metric-by-metric; the perf-regression \
-          gate for CI.")
+         "Compare two results files metric-by-metric; the simulated-metric \
+          regression gate for CI.")
     Term.(ret (const run $ old_file $ new_file $ fail_on_regress))
 
 let () =

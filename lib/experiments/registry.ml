@@ -179,9 +179,9 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
         let t =
           Obs.Slo.summarize
             ~counters:(Obs.Slo.counters_of_registry s.Obs.Sink.metrics)
-            ~spans:(Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans)
-            ~causal:(Obs.Causal.events s.Obs.Sink.causal)
-            ()
+            (Obs.Critpath.build
+               ~spans:(Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans)
+               ~causal:(Obs.Causal.events s.Obs.Sink.causal))
         in
         Obs.Slo.record t s.Obs.Sink.metrics;
         Some t

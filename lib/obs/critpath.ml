@@ -90,12 +90,13 @@ let ispans_of_json j =
   | _ -> []
 
 (* ------------------------------------------------------------------ *)
-(* Indexes over one (spans, causal) data set.                          *)
+(* The happens-before index of one (spans, causal) data set.          *)
 (* ------------------------------------------------------------------ *)
 
 type send_rec = { s_src : int; s_dst : int; s_at : int; s_from : int option }
 
-type index = {
+type t = {
+  spans : ispan list; (* creation order *)
   span_by_id : (int * int, ispan) Hashtbl.t; (* (run, sid) *)
   children : (int * int, int list) Hashtbl.t; (* (run, sid) -> child sids *)
   sends : (int * int, send_rec) Hashtbl.t; (* (run, msg id) *)
@@ -108,9 +109,10 @@ type index = {
 let add_multi tbl key v =
   Hashtbl.replace tbl key (v :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
 
-let build_index ~spans ~causal =
+let build ~spans ~causal =
   let ix =
     {
+      spans;
       span_by_id = Hashtbl.create 256;
       children = Hashtbl.create 256;
       sends = Hashtbl.create 256;
@@ -157,6 +159,8 @@ let stop_eff ix (s : ispan) =
   else
     Stdlib.max s.start
       (Option.value (Hashtbl.find_opt ix.run_end s.run) ~default:s.start)
+
+let duration ix (s : ispan) = stop_eff ix s - s.start
 
 (* ------------------------------------------------------------------ *)
 (* Critical path.                                                      *)
@@ -210,8 +214,7 @@ let component ix (root : ispan) =
   done;
   (comp_spans, comp_msgs)
 
-let critical_path ~spans ~causal ~root =
-  let ix = build_index ~spans ~causal in
+let critical_path ix ~root =
   let run = root.run in
   let comp_spans, comp_msgs = component ix root in
   let w_start = root.start and w_stop = stop_eff ix root in
@@ -298,8 +301,8 @@ let critical_path ~spans ~causal ~root =
   in
   { root; total_ns = w_stop - w_start; segs = List.rev segs }
 
-let roots ~spans ~kind =
-  List.filter (fun s -> s.parent = None && s.kind = kind) spans
+let roots ix ~kind =
+  List.filter (fun s -> s.parent = None && s.kind = kind) ix.spans
 
 (* ------------------------------------------------------------------ *)
 (* Per-subsystem self time.                                            *)
@@ -333,8 +336,7 @@ let union_len ~lo ~hi intervals =
   in
   total
 
-let self_times ~spans ~causal =
-  let ix = build_index ~spans ~causal in
+let self_times ix =
   let acc = Hashtbl.create 16 in
   let add name ns =
     if ns > 0 then
@@ -367,7 +369,7 @@ let self_times ~spans ~causal =
       in
       add (subsystem s.kind)
         (hi - lo - union_len ~lo ~hi (child_ivals @ wire_ivals)))
-    spans;
+    ix.spans;
   Hashtbl.iter
     (fun (run, id) d_at ->
       match Hashtbl.find_opt ix.sends (run, id) with

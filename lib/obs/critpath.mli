@@ -37,6 +37,30 @@ val ispans_of_json : Json.t -> ispan list
 (** Tolerant inverse of {!ispans_to_json}: malformed entries are skipped,
     so truncated documents still decode. *)
 
+(** {1 The happens-before index} *)
+
+type t
+(** The happens-before index of one dataset: every span by (run, id), the
+    parent -> children edges, each message's first send and first
+    delivery, its {!Causal.Link}ed spans, the messages each span sent, and
+    each run's latest timestamp (where open spans are clamped). Every
+    query below reads this one value, so a report builds it once per
+    dataset, not once per root. Everything is keyed by (run, id), because
+    message ids restart per machine boot. *)
+
+val build : spans:ispan list -> causal:Causal.event list -> t
+(** Index a dataset in one pass over [spans] and one over [causal]: time
+    and space linear in their lengths. The first [Send] and the first
+    [Deliver] of a message id win, so duplicate deliveries are ignored;
+    a [Send] without a [Deliver] is a lost message. *)
+
+val duration : t -> ispan -> int
+(** A span's latency: its stop (or, while open, the latest timestamp of
+    its run) minus its start. For a root this is the [total_ns] of its
+    {!critical_path}, without computing the path. *)
+
+(** {1 Critical path} *)
+
 type seg = {
   label : string;
       (** ["kind\@k<kernel>"] for span segments, ["wire k<src>->k<dst>"]
@@ -50,17 +74,20 @@ type path = { root : ispan; total_ns : int; segs : seg list }
 (** [total_ns] equals the root span's (clamped) duration and equals the
     sum of all segment durations — the partition is exact. *)
 
-val critical_path :
-  spans:ispan list -> causal:Causal.event list -> root:ispan -> path
+val critical_path : t -> root:ispan -> path
 (** Critical path through the happens-before component reachable from
     [root]: children via parent edges, messages via their sending span,
     remote spans via the message that caused them ({!Causal.Link}).
     Every elementary time slice of the root's window is attributed to the
     innermost active interval (latest start wins; wire beats its sender),
-    and consecutive slices with the same owner merge into one segment. *)
+    and consecutive slices with the same owner merge into one segment.
+    The work depends on the size of that component, not of the
+    dataset. *)
 
-val roots : spans:ispan list -> kind:string -> ispan list
+val roots : t -> kind:string -> ispan list
 (** Top-level spans (no parent) of [kind], in creation order. *)
+
+(** {1 Self time} *)
 
 val subsystem : string -> string
 (** Map a span-kind name to its owning subsystem: migration phases to
@@ -68,9 +95,8 @@ val subsystem : string -> string
     thread-group create/import to ["thread_group"], task listing to
     ["ssi"]; unknown kinds map to themselves, wire time to ["msg"]. *)
 
-val self_times :
-  spans:ispan list -> causal:Causal.event list -> (string * int) list
-(** Per-subsystem self time over every run in the input: each span's
+val self_times : t -> (string * int) list
+(** Per-subsystem self time over every run in the dataset: each span's
     duration minus its children and its own messages' wire time (clipped
     to the span), plus all delivered messages' wire time under ["msg"].
     Sorted by descending time, then name; concurrent spans each count

@@ -130,8 +130,6 @@ let render_path b indent (p : Critpath.path) =
     (if sum = p.Critpath.total_ns then ", sum exact"
      else Printf.sprintf ", SUM MISMATCH %d" sum)
 
-let path_kinds = [ "migration"; "thread_group_create" ]
-
 let render_analysis (d : dataset) =
   let b = Buffer.create 4096 in
   buf_addf b "== %s ==\n" d.label;
@@ -151,7 +149,8 @@ let render_analysis (d : dataset) =
     (List.length d.spans) unclosed sends delivers;
   if sends > delivers then buf_addf b ", %d lost" (sends - delivers);
   Buffer.add_char b '\n';
-  (match Critpath.self_times ~spans:d.spans ~causal:d.causal with
+  let ix = Critpath.build ~spans:d.spans ~causal:d.causal in
+  (match Critpath.self_times ix with
   | [] -> ()
   | self ->
       let total = List.fold_left (fun a (_, ns) -> a + ns) 0 self in
@@ -163,39 +162,17 @@ let render_analysis (d : dataset) =
         self);
   (* Worst-case & SLO block: the exact bound (not a percentile) per root
      kind, the worst path's phase budget, and deadline accounting. *)
-  (match
-     Slo.summarize ~counters:d.slo_counters ~spans:d.spans ~causal:d.causal ()
-   with
-  | { Slo.kinds = []; _ } -> ()
-  | slo -> Buffer.add_string b (Slo.render slo));
+  let slo = Slo.summarize ~counters:d.slo_counters ix in
+  if slo.Slo.kinds <> [] then Buffer.add_string b (Slo.render slo);
   List.iter
-    (fun kind ->
-      match Critpath.roots ~spans:d.spans ~kind with
-      | [] -> ()
-      | roots ->
-          let paths =
-            List.map
-              (fun root ->
-                Critpath.critical_path ~spans:d.spans ~causal:d.causal ~root)
-              roots
-          in
-          let n = List.length paths in
-          let total =
-            List.fold_left (fun a (p : Critpath.path) -> a + p.total_ns) 0 paths
-          in
-          let slowest =
-            List.fold_left
-              (fun (best : Critpath.path) (p : Critpath.path) ->
-                if p.total_ns > best.total_ns then p else best)
-              (List.hd paths) (List.tl paths)
-          in
-          buf_addf b "  %s: %d roots, mean %d ns, max %d ns\n" kind n
-            (total / n) slowest.total_ns;
-          buf_addf b "  critical path of slowest %s (span %d, run %d, k%d):\n"
-            kind slowest.root.Critpath.sid slowest.root.Critpath.run
-            slowest.root.Critpath.kernel;
-          render_path b "    " slowest)
-    path_kinds;
+    (fun (ks : Slo.kind_summary) ->
+      buf_addf b "  %s: %d roots, mean %d ns, max %d ns\n" ks.Slo.ks_kind
+        ks.Slo.ks_roots ks.Slo.ks_mean_ns ks.Slo.ks_worst_ns;
+      buf_addf b "  critical path of slowest %s (span %d, run %d, k%d):\n"
+        ks.Slo.ks_kind ks.Slo.ks_worst_sid ks.Slo.ks_worst_run
+        ks.Slo.ks_worst_kernel;
+      Option.iter (render_path b "    ") (Slo.worst_path ix ks))
+    slo.Slo.kinds;
   Buffer.contents b
 
 let analyze_doc j =

@@ -29,7 +29,8 @@ val render_analysis : dataset -> string
     path's phase budget, deadline met/violated counters), per-root-kind
     critical-path summary, and the full segment listing of the slowest
     migration and thread-group-create (whose segment durations sum
-    exactly to the root's end-to-end latency). *)
+    exactly to the root's end-to-end latency). All of it reads one
+    {!Critpath.t} built for the dataset. *)
 
 val analyze_doc : Json.t -> (string, string) result
 (** Full report over every dataset in the document; [Error] when the

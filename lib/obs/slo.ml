@@ -108,25 +108,18 @@ let phases_of_path (p : Critpath.path) =
          | 0 -> compare a.ph_label b.ph_label
          | c -> c)
 
-let summarize_kind ~spans ~causal ~kind =
-  match Critpath.roots ~spans ~kind with
+let summarize_kind ix ~kind =
+  match Critpath.roots ix ~kind with
   | [] -> None
-  | roots ->
-      let paths =
-        List.map
-          (fun root -> Critpath.critical_path ~spans ~causal ~root)
-          roots
-      in
+  | first :: _ as roots ->
+      let latency = Critpath.duration ix in
+      (* First strict max: the earliest-created of equally slow roots. *)
       let worst =
         List.fold_left
-          (fun (best : Critpath.path) (p : Critpath.path) ->
-            if p.Critpath.total_ns > best.Critpath.total_ns then p else best)
-          (List.hd paths) (List.tl paths)
+          (fun best r -> if latency r > latency best then r else best)
+          first roots
       in
-      let totals =
-        Array.of_list
-          (List.map (fun (p : Critpath.path) -> p.Critpath.total_ns) paths)
-      in
+      let totals = Array.of_list (List.map latency roots) in
       let n = Array.length totals in
       let sum = Array.fold_left ( + ) 0 totals in
       Array.sort compare totals;
@@ -136,21 +129,31 @@ let summarize_kind ~spans ~causal ~kind =
           ks_roots = n;
           ks_mean_ns = sum / n;
           ks_p99_ns = exact_percentile totals 99.;
-          ks_worst_ns = worst.Critpath.total_ns;
-          ks_worst_sid = worst.Critpath.root.Critpath.sid;
-          ks_worst_run = worst.Critpath.root.Critpath.run;
-          ks_worst_kernel = worst.Critpath.root.Critpath.kernel;
-          ks_phases = phases_of_path worst;
+          ks_worst_ns = latency worst;
+          ks_worst_sid = worst.Critpath.sid;
+          ks_worst_run = worst.Critpath.run;
+          ks_worst_kernel = worst.Critpath.kernel;
+          ks_phases = phases_of_path (Critpath.critical_path ix ~root:worst);
         }
 
-let summarize ?(counters = no_counters) ~spans ~causal () =
+let summarize ?(counters = no_counters) ix =
   {
     kinds =
-      List.filter_map
-        (fun kind -> summarize_kind ~spans ~causal ~kind)
-        kinds_analyzed;
+      List.filter_map (fun kind -> summarize_kind ix ~kind) kinds_analyzed;
     counters;
   }
+
+(* The first root carrying everything [ks] names is the one [summarize]
+   picked: an earlier root with the same latency would have won its
+   first-strict-max tie-break. *)
+let worst_path ix ks =
+  List.find_opt
+    (fun (r : Critpath.ispan) ->
+      r.Critpath.sid = ks.ks_worst_sid
+      && r.Critpath.run = ks.ks_worst_run
+      && Critpath.duration ix r = ks.ks_worst_ns)
+    (Critpath.roots ix ~kind:ks.ks_kind)
+  |> Option.map (fun root -> Critpath.critical_path ix ~root)
 
 let record t m =
   List.iter

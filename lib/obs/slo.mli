@@ -4,7 +4,7 @@
     (p50/p99/p999/max of metric histograms). This module graduates it
     into a {e bound}: for each protocol root kind (migrations, remote
     thread creations) it computes the worst-case end-to-end latency of a
-    run from the same happens-before DAG {!Critpath} builds — not a
+    run from the same happens-before index {!Critpath} builds — not a
     percentile estimate but the exact slowest root — together with the
     per-phase partition of that worst path (where the budget went), and
     folds in the deadline counters the protocol layer records when
@@ -64,13 +64,15 @@ type t = { kinds : kind_summary list; counters : counters }
 val kinds_analyzed : string list
 (** Root kinds summarized, in report order (migration first). *)
 
-val summarize :
-  ?counters:counters ->
-  spans:Critpath.ispan list ->
-  causal:Causal.event list ->
-  unit ->
-  t
-(** Analyze one run's spans. Kinds with no roots are omitted. *)
+val summarize : ?counters:counters -> Critpath.t -> t
+(** Analyze one dataset's index. Kinds with no roots are omitted. A
+    root's latency is its {!Critpath.duration}, so the only critical path
+    computed is the worst root's, for its phase budget. *)
+
+val worst_path : Critpath.t -> kind_summary -> Critpath.path option
+(** The critical path of the worst root [kind_summary] names, from the
+    index it was summarized from; [None] when the index holds no such
+    root. *)
 
 val record : t -> Metrics.t -> unit
 (** Write [slo.<kind>.worst_case_ns] and [slo.<kind>.mean_ns] gauges for

@@ -163,7 +163,8 @@ let test_critical_path_known_chain () =
       Obs.Causal.Deliver { id = 3; run = 0; dst = 0; at = 800 };
     ]
   in
-  let p = Obs.Critpath.critical_path ~spans ~causal ~root in
+  let ix = Obs.Critpath.build ~spans ~causal in
+  let p = Obs.Critpath.critical_path ix ~root in
   Alcotest.(check int) "total is the root duration" 1000 p.Obs.Critpath.total_ns;
   let segs =
     List.map
@@ -197,11 +198,12 @@ let test_critical_path_of_real_run () =
   ignore (run_workload ~sink ~seed:42 ());
   let spans = Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans in
   let causal = Obs.Causal.events sink.Obs.Sink.causal in
-  let roots = Obs.Critpath.roots ~spans ~kind:"migration" in
+  let ix = Obs.Critpath.build ~spans ~causal in
+  let roots = Obs.Critpath.roots ix ~kind:"migration" in
   Alcotest.(check int) "two migrations analyzed" 2 (List.length roots);
   List.iter
     (fun root ->
-      let p = Obs.Critpath.critical_path ~spans ~causal ~root in
+      let p = Obs.Critpath.critical_path ix ~root in
       let sum =
         List.fold_left
           (fun a (s : Obs.Critpath.seg) ->
@@ -214,6 +216,154 @@ let test_critical_path_of_real_run () =
         (List.exists (fun (s : Obs.Critpath.seg) -> s.Obs.Critpath.on_wire)
            p.Obs.Critpath.segs))
     roots
+
+(* --- one shared index answers every root like a fresh one --- *)
+
+(* One run of a random happens-before DAG: protocol roots with nested
+   children, spans that send messages, and for each message one of: lost
+   (a Send with no Deliver), delivered, or delivered twice (a duplicate
+   Deliver, later than the first). A delivered message may open a
+   parentless remote span, reachable only through its Link, which nests
+   and sends in turn. About one span in eight is left open. Lengths come
+   in ten sizes, so equally slow roots (ties) are common. Span and
+   message ids restart per run, as they do per machine boot, so two runs
+   collide on every id. *)
+let random_run st ~run =
+  let int n = Random.State.int st n in
+  let spans = ref [] and causal = ref [] in
+  let next_sid = ref 0 and next_msg = ref 0 in
+  let rec span ?parent ~kind ~start ~depth () =
+    let sid = !next_sid in
+    incr next_sid;
+    let len = 100 * (1 + int 10) in
+    let stop = if int 8 = 0 then -1 else start + len in
+    let kernel = int 4 in
+    spans :=
+      { Obs.Critpath.sid; parent; kind; kernel; tid = None; run; start; stop }
+      :: !spans;
+    if depth < 3 then begin
+      for _ = 1 to int 3 do
+        span ~parent:sid
+          ~kind:(if int 2 = 0 then "transfer" else "page_fault")
+          ~start:(start + int len) ~depth:(depth + 1) ()
+      done;
+      for _ = 1 to int 3 do
+        let id = !next_msg and dst = int 4 and at = start + int len in
+        incr next_msg;
+        causal :=
+          Obs.Causal.Send
+            { id; run; src = kernel; dst; at; bytes = 64; from_span = Some sid }
+          :: !causal;
+        match int 4 with
+        | 0 -> ()
+        | fate ->
+            let d_at = at + int 300 in
+            causal := Obs.Causal.Deliver { id; run; dst; at = d_at } :: !causal;
+            if fate = 3 then
+              causal :=
+                Obs.Causal.Deliver { id; run; dst; at = d_at + 1 + int 100 }
+                :: !causal;
+            if int 2 = 0 then begin
+              causal :=
+                Obs.Causal.Link { id; run; span = !next_sid } :: !causal;
+              span ~kind:"import" ~start:d_at ~depth:(depth + 1) ()
+            end
+      done
+    end
+  in
+  for _ = 0 to int 4 do
+    span
+      ~kind:(if int 2 = 0 then "migration" else "thread_group_create")
+      ~start:(int 5000) ~depth:0 ()
+  done;
+  (List.rev !spans, List.rev !causal)
+
+let random_dataset seed =
+  let st = Random.State.make [| seed |] in
+  let runs = [ random_run st ~run:0; random_run st ~run:1 ] in
+  (runs, List.concat_map fst runs, List.concat_map snd runs)
+
+(* Every parentless span, remote ones included: the critical path of each,
+   read from one index over both runs, equals the path from an index
+   built for that root alone (from its run's events only), and its
+   segments tile the root's window, so they sum exactly to total_ns. *)
+let prop_shared_index =
+  QCheck.Test.make ~name:"shared index: every root's path as if alone"
+    ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let runs, spans, causal = random_dataset seed in
+      let shared = Obs.Critpath.build ~spans ~causal in
+      List.for_all
+        (fun (root : Obs.Critpath.ispan) ->
+          let run_spans, run_causal = List.nth runs root.Obs.Critpath.run in
+          let alone = Obs.Critpath.build ~spans:run_spans ~causal:run_causal in
+          let p = Obs.Critpath.critical_path shared ~root in
+          let sum =
+            List.fold_left
+              (fun a (s : Obs.Critpath.seg) ->
+                a + s.Obs.Critpath.seg_stop - s.Obs.Critpath.seg_start)
+              0 p.Obs.Critpath.segs
+          in
+          let rec tiles at = function
+            | [] -> at = root.Obs.Critpath.start + p.Obs.Critpath.total_ns
+            | (s : Obs.Critpath.seg) :: rest ->
+                s.Obs.Critpath.seg_start = at
+                && s.Obs.Critpath.seg_stop > at
+                && tiles s.Obs.Critpath.seg_stop rest
+          in
+          p = Obs.Critpath.critical_path alone ~root
+          && sum = p.Obs.Critpath.total_ns
+          && tiles root.Obs.Critpath.start p.Obs.Critpath.segs
+          && p.Obs.Critpath.total_ns = Obs.Critpath.duration shared root)
+        (List.filter
+           (fun (s : Obs.Critpath.ispan) -> s.Obs.Critpath.parent = None)
+           spans))
+
+(* The SLO summary ranks roots by Critpath.duration and computes one path
+   per kind; analyze prints that path via Slo.worst_path. Both must agree
+   with the reference: compute every root's critical path, rank by
+   total_ns, take the first strict maximum. *)
+let prop_worst_path =
+  QCheck.Test.make ~name:"Slo.worst_path is the first slowest root's path"
+    ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let _, spans, causal = random_dataset seed in
+      let ix = Obs.Critpath.build ~spans ~causal in
+      let slo = Obs.Slo.summarize ix in
+      List.for_all
+        (fun kind ->
+          let paths =
+            List.map
+              (fun root -> Obs.Critpath.critical_path ix ~root)
+              (Obs.Critpath.roots ix ~kind)
+          in
+          match
+            ( paths,
+              List.find_opt
+                (fun (ks : Obs.Slo.kind_summary) -> ks.Obs.Slo.ks_kind = kind)
+                slo.Obs.Slo.kinds )
+          with
+          | [], None -> true
+          | first :: _, Some ks ->
+              let slowest =
+                List.fold_left
+                  (fun (best : Obs.Critpath.path) (p : Obs.Critpath.path) ->
+                    if p.Obs.Critpath.total_ns > best.Obs.Critpath.total_ns
+                    then p
+                    else best)
+                  first paths
+              in
+              let total =
+                List.fold_left
+                  (fun a (p : Obs.Critpath.path) -> a + p.Obs.Critpath.total_ns)
+                  0 paths
+              in
+              Obs.Slo.worst_path ix ks = Some slowest
+              && ks.Obs.Slo.ks_roots = List.length paths
+              && ks.Obs.Slo.ks_mean_ns = total / List.length paths
+              && ks.Obs.Slo.ks_worst_ns = slowest.Obs.Critpath.total_ns
+          | _ -> false)
+        Obs.Slo.kinds_analyzed)
 
 (* --- analyze / diff documents --- *)
 
@@ -508,7 +658,9 @@ let () =
             test_critical_path_known_chain;
           Alcotest.test_case "real run sums exactly" `Quick
             test_critical_path_of_real_run;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_shared_index; prop_worst_path ] );
       ( "analyze",
         [
           Alcotest.test_case "v2 results document" `Quick test_analyze_real_doc;

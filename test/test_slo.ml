@@ -30,7 +30,7 @@ let test_summarize_picks_worst () =
       mig ~sid:3 ~start:6000 ~stop:6100;
     ]
   in
-  let t = Obs.Slo.summarize ~spans ~causal:[] () in
+  let t = Obs.Slo.summarize (Obs.Critpath.build ~spans ~causal:[]) in
   match t.Obs.Slo.kinds with
   | [ ks ] ->
       Alcotest.(check string) "kind" "migration" ks.Obs.Slo.ks_kind;
@@ -49,7 +49,7 @@ let test_summarize_picks_worst () =
   | ks -> Alcotest.failf "expected one kind, got %d" (List.length ks)
 
 let test_summarize_empty () =
-  let t = Obs.Slo.summarize ~spans:[] ~causal:[] () in
+  let t = Obs.Slo.summarize (Obs.Critpath.build ~spans:[] ~causal:[]) in
   Alcotest.(check int) "no kinds" 0 (List.length t.Obs.Slo.kinds)
 
 let test_json_roundtrip () =
@@ -57,7 +57,7 @@ let test_json_roundtrip () =
   let counters =
     { Obs.Slo.met = 5; violations = 2; dispatch_met = 7; dispatch_violations = 1 }
   in
-  let t = Obs.Slo.summarize ~counters ~spans ~causal:[] () in
+  let t = Obs.Slo.summarize ~counters (Obs.Critpath.build ~spans ~causal:[]) in
   match Obs.Slo.of_json (Obs.Slo.to_json t) with
   | Some t' ->
       Alcotest.(check bool) "round-trip exact" true (t = t');
@@ -74,7 +74,7 @@ let test_json_roundtrip () =
 let test_record_gauges () =
   let m = Obs.Metrics.create () in
   let spans = [ mig ~sid:1 ~start:0 ~stop:1234 ] in
-  let t = Obs.Slo.summarize ~spans ~causal:[] () in
+  let t = Obs.Slo.summarize (Obs.Critpath.build ~spans ~causal:[]) in
   Obs.Slo.record t m;
   Alcotest.(check (float 0.0)) "worst gauge" 1234.
     (Obs.Metrics.gauge m "slo.migration.worst_case_ns");
@@ -285,6 +285,31 @@ let test_r4_deterministic () =
       Alcotest.(check bool) "dispatch deadlines accounted" true
         (c.Obs.Slo.dispatch_met + c.Obs.Slo.dispatch_violations > 0)
 
+(* The whole analyze report of R4 (quick size, seed 42) after its results
+   document round-trips through Obs.Json, pinned byte for byte: 288
+   migration roots, lost messages, unclosed spans and violated deadlines.
+   The expected text is `popcornsim run R4 --quick --json r4.json` then
+   `popcornsim analyze r4.json`; regenerate it only when simulated
+   behaviour changes on purpose. *)
+let test_r4_analyze_golden () =
+  let o =
+    Experiments.Registry.run_one ~quick:true ~observe:true ~seed:42 (r4 ())
+  in
+  let text =
+    Obs.Json.to_string (Experiments.Registry.report_json ~quick:true [ o ])
+  in
+  let doc =
+    match Obs.Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let expected =
+    In_channel.with_open_bin "r4_quick_analyze.expected" In_channel.input_all
+  in
+  match Obs.Report.analyze_doc doc with
+  | Ok report -> Alcotest.(check string) "analyze report" expected report
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "slo"
     [
@@ -318,5 +343,8 @@ let () =
             test_analyze_shows_slo_block;
         ] );
       ( "r4",
-        [ Alcotest.test_case "deterministic" `Quick test_r4_deterministic ] );
+        [
+          Alcotest.test_case "deterministic" `Quick test_r4_deterministic;
+          Alcotest.test_case "analyze golden" `Quick test_r4_analyze_golden;
+        ] );
     ]
