@@ -1,50 +1,48 @@
 (* Engine hot-path microbenchmarks (bechamel).
 
    Covers the four operations the DES-throughput refactor targets:
-   event-queue push/pop (binary heap vs calendar queue), label interning,
-   metric updates (by-name vs pre-resolved handle), and end-to-end message
-   delivery through the transport. CI runs `--quick` and archives the
-   report; the numbers are informational — bit-identity of results is
-   guarded elsewhere (test_evq + the diff gates).
+   event-heap push/pop, label interning, metric updates (by-name vs
+   pre-resolved handle), and end-to-end message delivery through the
+   transport. CI runs `--quick` and archives the report; the numbers are
+   informational — bit-identity of results is guarded elsewhere (the diff
+   gates).
 
    usage: micro.exe [--quick] *)
 
 open Bechamel
 open Toolkit
 
-(* Pseudorandom but fixed times: spread over a wide band so the calendar
-   queue exercises buckets and rewindows, not just its front heap. *)
+(* Pseudorandom but fixed times, spread over a wide band. *)
 let times =
   let rng = Sim.Prng.create ~seed:7 in
   Array.init 512 (fun _ -> Sim.Prng.int_in rng 0 50_000_000)
 
-let evq_push_pop impl =
+let heap_push_pop =
   Staged.stage (fun () ->
-      let q = Sim.Evq.create impl in
-      Array.iteri (fun seq at -> Sim.Evq.push q ~at ~seq seq) times;
-      while not (Sim.Evq.is_empty q) do
-        ignore (Sim.Evq.pop_exn q)
+      let q = Sim.Eheap.create () in
+      Array.iteri (fun seq at -> Sim.Eheap.push q ~at ~seq seq) times;
+      while not (Sim.Eheap.is_empty q) do
+        ignore (Sim.Eheap.pop_exn q)
       done)
 
-(* Steady-state scheduling: the queue never drains, so the calendar pays
-   its rewindow amortization (closer to the engine's real pattern than a
-   fill-then-drain sweep). *)
-let evq_churn impl =
+(* Steady-state scheduling: the queue never drains (closer to the
+   engine's real pattern than a fill-then-drain sweep). *)
+let heap_churn =
   Staged.stage (fun () ->
-      let q = Sim.Evq.create impl in
+      let q = Sim.Eheap.create () in
       let seq = ref 0 in
       Array.iteri
-        (fun s at -> Sim.Evq.push q ~at ~seq:s s)
+        (fun s at -> Sim.Eheap.push q ~at ~seq:s s)
         (Array.sub times 0 64);
       seq := 64;
       for _ = 1 to 512 do
-        let at = Sim.Evq.next_at q in
-        ignore (Sim.Evq.pop_exn q);
-        Sim.Evq.push q ~at:(at + 10_000) ~seq:!seq !seq;
+        let at = Sim.Eheap.next_at q in
+        ignore (Sim.Eheap.pop_exn q);
+        Sim.Eheap.push q ~at:(at + 10_000) ~seq:!seq !seq;
         incr seq
       done;
-      while not (Sim.Evq.is_empty q) do
-        ignore (Sim.Evq.pop_exn q)
+      while not (Sim.Eheap.is_empty q) do
+        ignore (Sim.Eheap.pop_exn q)
       done)
 
 let names = Array.init 64 (fun i -> Printf.sprintf "metric.name.%d" i)
@@ -75,10 +73,9 @@ let metrics_handle =
 (* End-to-end delivery: 2-kernel fabric, one batch of messages per run,
    engine drained to completion. Measures send cost + ring + worker
    dispatch + handler spawn — the path the batched drain optimizes. *)
-let deliver evq =
+let deliver =
   let m =
-    Hw.Machine.create ~evq ~frames_per_socket:16 ~sockets:2
-      ~cores_per_socket:1 ()
+    Hw.Machine.create ~frames_per_socket:16 ~sockets:2 ~cores_per_socket:1 ()
   in
   let delivered = ref 0 in
   let tr =
@@ -97,15 +94,12 @@ let deliver evq =
 let tests =
   Test.make_grouped ~name:"engine"
     [
-      Test.make ~name:"evq-push-pop/heap" (evq_push_pop Sim.Evq.Heap);
-      Test.make ~name:"evq-push-pop/calendar" (evq_push_pop Sim.Evq.Calendar);
-      Test.make ~name:"evq-churn/heap" (evq_churn Sim.Evq.Heap);
-      Test.make ~name:"evq-churn/calendar" (evq_churn Sim.Evq.Calendar);
+      Test.make ~name:"heap-push-pop" heap_push_pop;
+      Test.make ~name:"heap-churn" heap_churn;
       Test.make ~name:"names-intern-hit" intern_hit;
       Test.make ~name:"metrics-incr/by-name" metrics_by_name;
       Test.make ~name:"metrics-incr/handle" metrics_handle;
-      Test.make ~name:"deliver-128/heap" (deliver Sim.Evq.Heap);
-      Test.make ~name:"deliver-128/calendar" (deliver Sim.Evq.Calendar);
+      Test.make ~name:"deliver-128" deliver;
     ]
 
 let () =

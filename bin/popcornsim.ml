@@ -10,15 +10,14 @@
      analyze <file>     causal / critical-path report over exported results
      diff <old> <new>   compare two results files metric-by-metric
 
-   `run` and `all` accept --seed N (machine seed; default 42), --evq IMPL
-   (engine event-queue implementation; results are bit-identical under
-   either), --json FILE (machine-readable results + metrics) and
-   --trace-out FILE (Chrome trace_event JSON of the migration-protocol
-   spans; load it at https://ui.perfetto.dev). `all` also accepts --jobs N:
-   experiments are
-   scheduled over N domains (default: host cores) with results identical to
-   a serial run and printed in registry order. `analyze` reads either file
-   kind; `diff --fail-on-regress PCT` exits 3 on regression (the CI gate). *)
+   `run` and `all` accept --seed N (machine seed; default 42), --coherence
+   PROTO, --json FILE (machine-readable results + metrics), --trace-out
+   FILE (Chrome trace_event JSON of the migration-protocol spans; load it
+   at https://ui.perfetto.dev) and --baseline-out FILE. `all` also accepts
+   --jobs N: experiments are scheduled over N domains (default: host
+   cores) with results identical to a serial run and printed in registry
+   order. `analyze` reads either file kind; `diff --fail-on-regress PCT`
+   exits 3 on regression (the CI gate). *)
 
 open Cmdliner
 
@@ -62,19 +61,6 @@ let coherence =
     value
     & opt (enum protos) Coherence.Protocol.Origin_home
     & info [ "coherence" ] ~docv:"PROTO" ~doc)
-
-let evq =
-  let impls =
-    List.map (fun i -> (Sim.Evq.impl_to_string i, i)) Sim.Evq.all_impls
-  in
-  let doc =
-    "Engine event-queue implementation: $(b,heap) (binary min-heap, the \
-     default) or $(b,calendar) (calendar/ladder queue: O(1) amortized \
-     scheduling under heavy load). Runs are bit-identical under either — \
-     the cross-implementation equivalence test and the CI gate enforce it \
-     — so this is purely a host-performance knob."
-  in
-  Arg.(value & opt (enum impls) Sim.Evq.Heap & info [ "evq" ] ~docv:"IMPL" ~doc)
 
 (* Validated numeric converters: a nonsensical $(b,--top 0) or
    $(b,--fail-on-regress -5) is a usage error at parse time, not a value
@@ -177,15 +163,12 @@ let run_cmd =
     let doc = Printf.sprintf "Experiment id (%s)." experiment_ids in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
-  let run id quick seed coherence evq jobs json trace baseline =
-    (* A single experiment occupies one domain; --jobs is accepted for
-       symmetry with `all` (scripts can pass it to either subcommand). *)
-    ignore (jobs : int option);
+  let run id quick seed coherence json trace baseline =
     match Experiments.Registry.find id with
     | Some e ->
         let observe = json <> None || trace <> None || baseline <> None in
         let o =
-          Experiments.Registry.run_one ~quick ~observe ~seed ~coherence ~evq e
+          Experiments.Registry.run_one ~quick ~observe ~seed ~coherence e
         in
         print_string o.Experiments.Registry.output;
         flush stdout;
@@ -196,17 +179,16 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its tables.")
     Term.(
       ret
-        (const run $ id $ quick $ seed $ coherence $ evq $ jobs $ json_out
-       $ trace_out $ baseline_out))
+        (const run $ id $ quick $ seed $ coherence $ json_out $ trace_out
+       $ baseline_out))
 
 (* --- all --- *)
 
 let all_cmd =
-  let run quick seed coherence evq jobs json trace baseline =
+  let run quick seed coherence jobs json trace baseline =
     let observe = json <> None || trace <> None || baseline <> None in
     let outcomes =
-      Experiments.Registry.run_all ~quick ~observe ~seed ~coherence ~evq ?jobs
-        ()
+      Experiments.Registry.run_all ~quick ~observe ~seed ~coherence ?jobs ()
     in
     List.iter
       (fun (o : Experiments.Registry.outcome) -> print_string o.output)
@@ -218,7 +200,7 @@ let all_cmd =
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment.")
     Term.(
-      const run $ quick $ seed $ coherence $ evq $ jobs $ json_out $ trace_out
+      const run $ quick $ seed $ coherence $ jobs $ json_out $ trace_out
       $ baseline_out)
 
 (* --- demo --- *)
@@ -409,7 +391,7 @@ let profile_cmd =
     in
     Arg.(value & flag & info [ "overhead" ] ~doc)
   in
-  let run id quick seed coherence evq top folded profile_out overhead =
+  let run id quick seed coherence top folded profile_out overhead =
     match Experiments.Registry.find id with
     | None -> `Error (false, "unknown experiment id: " ^ id)
     | Some e ->
@@ -422,7 +404,7 @@ let profile_cmd =
           let time label ~observe ~profile =
             let o =
               Experiments.Registry.run_one ~quick ~observe ~profile ~seed
-                ~coherence ~evq e
+                ~coherence e
             in
             Printf.printf "  %-24s %8.0f ms  %9d events  %12s\n" label
               o.Experiments.Registry.host_ms
@@ -448,7 +430,7 @@ let profile_cmd =
         else begin
           let o =
             Experiments.Registry.run_one ~quick ~profile:true ~seed ~coherence
-              ~evq e
+              e
           in
           print_string o.Experiments.Registry.output;
           print_newline ();
@@ -483,7 +465,7 @@ let profile_cmd =
           Profiling never perturbs simulated results.")
     Term.(
       ret
-        (const run $ id $ quick $ seed $ coherence $ evq $ top $ folded_out
+        (const run $ id $ quick $ seed $ coherence $ top $ folded_out
        $ profile_out $ overhead))
 
 (* --- analyze --- *)

@@ -276,24 +276,23 @@ module Shared (Env : Intf.ENV) = struct
   let install cluster kernel r ~vpn ~(grant : Wire.grant) =
     let p = Env.params cluster in
     let pt = Env.pt r in
-    let existing = K.Page_table.get pt ~vpn in
-    (match existing with
-    | Some _ when not grant.Wire.carries_data ->
-        (* Permission upgrade on data we already hold. *)
-        ()
+    (match K.Page_table.get pt ~vpn with
     | Some pte ->
-        (* Refresh in place (e.g. we were a reader and got fresh data). *)
-        ignore pte
+        (* Keep the copy we hold when the grant brings no data (it only
+           changes permission) or when we already write the page (a stale
+           fault: our copy is the latest). The grant's version is what the
+           home read when it built the grant; a thread here may have
+           committed since, and overwriting would roll the page back. *)
+        if grant.Wire.carries_data && not pte.K.Page_table.writable then
+          Hashtbl.replace (Env.page_data r) vpn grant.Wire.version;
+        K.Page_table.set pt ~vpn
+          { pte with K.Page_table.writable = grant.Wire.writable }
     | None ->
         Env.work cluster frame_alloc_cost;
         let frame = Env.alloc_frame cluster kernel in
-        K.Page_table.set pt ~vpn { K.Page_table.frame; writable = false });
-    (match K.Page_table.get pt ~vpn with
-    | Some pte ->
         K.Page_table.set pt ~vpn
-          { pte with K.Page_table.writable = grant.Wire.writable }
-    | None -> assert false);
-    Hashtbl.replace (Env.page_data r) vpn grant.Wire.version;
+          { K.Page_table.frame; writable = grant.Wire.writable };
+        Hashtbl.replace (Env.page_data r) vpn grant.Wire.version);
     Env.work cluster p.Hw.Params.page_table_walk
 
   (** Service a fault for a thread of [r] running on [kernel] at [core]. *)

@@ -51,7 +51,9 @@ let create_local cluster (kernel : kernel) (r : replica) : K.Task.t =
 (** Ensure [kernel] has a replica of [proc], fetching the layout from the
     origin if needed. Runs on [kernel]. The replica must be created in the
     same event as the fetch response lands (no sleeps in between) so that
-    no replicated layout push can slip past it. *)
+    no replicated layout push can slip past it. Another thread arriving
+    on [kernel] may have created the replica while this one waited on the
+    fetch; that replica may already hold pages, so it is kept. *)
 let ensure_replica cluster (kernel : kernel) (proc : process) : replica =
   match find_replica kernel proc.pid with
   | Some r -> r
@@ -64,11 +66,16 @@ let ensure_replica cluster (kernel : kernel) (proc : process) : replica =
             (fun ~ticket -> Vma_fetch_req { ticket; pid = proc.pid })
         in
         match resp with
-        | Vma_fetch_resp { vmas; _ } ->
-            let r = Process_model.create_replica kernel proc ~vma_proto:vmas in
-            r.distributed <- true;
-            Process_model.prime_dummy_pool cluster r;
-            r
+        | Vma_fetch_resp { vmas; _ } -> (
+            match find_replica kernel proc.pid with
+            | Some r -> r
+            | None ->
+                let r =
+                  Process_model.create_replica kernel proc ~vma_proto:vmas
+                in
+                r.distributed <- true;
+                Process_model.prime_dummy_pool cluster r;
+                r)
         | _ -> assert false
       end
 

@@ -19,9 +19,7 @@ let default_kernels = 16
 
 let machine (ctx : Run_ctx.t) ?seed () =
   let seed = Option.value seed ~default:ctx.Run_ctx.seed in
-  let m =
-    Hw.Machine.create ~seed ~evq:ctx.Run_ctx.evq ~sockets ~cores_per_socket ()
-  in
+  let m = Hw.Machine.create ~seed ~sockets ~cores_per_socket () in
   (match ctx.Run_ctx.sink with
   | None -> ()
   | Some s ->

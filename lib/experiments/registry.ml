@@ -142,10 +142,10 @@ let render_suite_total (outcomes : outcome list) =
     (render_mev_s ~events ~host_ms)
 
 let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
-    ?coherence ?evq (e : t) : outcome =
+    ?coherence (e : t) : outcome =
   let sink = if observe then Some (Obs.Sink.create ()) else None in
   let prof = if profile then Some (Obs.Prof.create ()) else None in
-  let ctx = Run_ctx.create ?sink ?prof ?seed ?coherence ?evq ~quick () in
+  let ctx = Run_ctx.create ?sink ?prof ?seed ?coherence ~quick () in
   let t0 = Unix.gettimeofday () in
   let tables = e.run ctx in
   let host_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
@@ -216,7 +216,7 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
     experiment durations vary by an order of magnitude. *)
 let default_jobs () = Domain.recommended_domain_count ()
 
-let run_all ?quick ?observe ?profile ?seed ?coherence ?evq ?jobs () :
+let run_all ?quick ?observe ?profile ?seed ?coherence ?jobs () :
     outcome list =
   let specs = Array.of_list all in
   let n = Array.length specs in
@@ -224,9 +224,7 @@ let run_all ?quick ?observe ?profile ?seed ?coherence ?evq ?jobs () :
     max 1 (min n (match jobs with Some j -> j | None -> default_jobs ()))
   in
   if jobs = 1 then
-    List.map
-      (fun e -> run_one ?quick ?observe ?profile ?seed ?coherence ?evq e)
-      all
+    List.map (fun e -> run_one ?quick ?observe ?profile ?seed ?coherence e) all
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -235,9 +233,7 @@ let run_all ?quick ?observe ?profile ?seed ?coherence ?evq ?jobs () :
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           results.(i) <-
-            Some
-              (run_one ?quick ?observe ?profile ?seed ?coherence ?evq
-                 specs.(i));
+            Some (run_one ?quick ?observe ?profile ?seed ?coherence specs.(i));
           loop ()
         end
       in

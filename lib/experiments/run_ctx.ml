@@ -10,7 +10,7 @@
 
 type t = {
   sink : Obs.Sink.t option;
-      (** When set (the CLI/bench [--json] / [--trace-out] /
+      (** When set (the CLI [--json] / [--trace-out] /
           [--baseline-out] paths), every machine the run boots gets the
           sink's metrics registry and span recorder attached, and Popcorn
           clusters additionally get the trace ring and per-kernel [rpc.*]
@@ -22,10 +22,6 @@ type t = {
       (** Page-coherence protocol every Popcorn cluster of the run boots
           with (the CLI [--coherence] flag), unless an experiment pins its
           own options explicitly. *)
-  evq : Sim.Evq.impl;
-      (** Event-queue implementation every machine of the run boots with
-          (the CLI [--evq] flag). Runs are bit-identical under either; the
-          cross-implementation equivalence test and CI gate enforce it. *)
   prof : Obs.Prof.t option;
       (** When set (the [popcornsim profile] path), every machine the run
           boots gets the profiler attached as its engine observer, so host
@@ -46,13 +42,12 @@ type t = {
 let default_seed = 42
 
 let create ?sink ?prof ?(seed = default_seed) ?(quick = false)
-    ?(coherence = Coherence.Protocol.Origin_home) ?(evq = Sim.Evq.Heap) () =
+    ?(coherence = Coherence.Protocol.Origin_home) () =
   {
     sink;
     seed;
     quick;
     coherence;
-    evq;
     prof;
     out = Buffer.create 1024;
     engines = [];

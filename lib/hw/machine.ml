@@ -11,9 +11,9 @@ type t = {
   mutable causal : Obs.Causal.t option;
 }
 
-let create ?seed ?evq ?(params = Params.default) ?(frames_per_socket = 65536)
+let create ?seed ?(params = Params.default) ?(frames_per_socket = 65536)
     ~sockets ~cores_per_socket () =
-  let eng = Engine.create ?seed ?evq () in
+  let eng = Engine.create ?seed () in
   let topo = Topology.create ~sockets ~cores_per_socket in
   let mem = Memory.create topo ~frames_per_socket in
   let ipi = Ipi.create eng params topo in

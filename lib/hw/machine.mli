@@ -17,17 +17,15 @@ type t = {
 
 val create :
   ?seed:int ->
-  ?evq:Evq.impl ->
   ?params:Params.t ->
   ?frames_per_socket:int ->
   sockets:int ->
   cores_per_socket:int ->
   unit ->
   t
-(** Build a machine with a fresh engine. [evq] selects the engine's
-    event-queue implementation (default the binary heap; runs are
-    bit-identical under either). [frames_per_socket] defaults to 65536
-    (256 MiB of 4 KiB pages per socket). *)
+(** Build a machine with a fresh engine seeded by [seed].
+    [frames_per_socket] defaults to 65536 (256 MiB of 4 KiB pages per
+    socket). *)
 
 val attach_obs :
   t ->

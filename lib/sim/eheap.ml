@@ -98,8 +98,6 @@ let pop t =
   end
 
 let next_at t = if t.n = 0 then -1 else t.a.(0).at
-let peek_time t = if t.n = 0 then None else Some t.a.(0).at
-let size t = t.n
-let length = size
+let length t = t.n
 let max_length t = t.max_n
 let is_empty t = t.n = 0

@@ -25,14 +25,10 @@ val pop_exn : 'a t -> 'a
 
 val next_at : 'a t -> Time.t
 (** Timestamp of the earliest event, or [-1] when empty (timestamps are
-    non-negative). The allocation-free counterpart of {!peek_time}. *)
-
-val peek_time : 'a t -> Time.t option
-
-val size : 'a t -> int
+    non-negative). *)
 
 val length : 'a t -> int
-(** Synonym for {!size}: events currently queued. *)
+(** Events currently queued. *)
 
 val max_length : 'a t -> int
 (** High-water mark of {!length} over the heap's lifetime. *)

@@ -20,7 +20,7 @@ type observer = {
 
 type t = {
   mutable now : Time.t;
-  queue : event Evq.t;
+  queue : event Eheap.t;
   mutable seq : int;
   seed : int;
   rng : Prng.t;
@@ -52,13 +52,13 @@ type _ Effect.t +=
   | Sleep : t * Time.t -> unit Effect.t
   | Suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
 
-let create ?(seed = 42) ?(evq = Evq.Heap) () =
+let create ?(seed = 42) () =
   {
     now = Time.zero;
     (* The dummy lets the queue clear vacated slots: an executed event's
        closure captures its continuation, which can pin the whole object
        graph the fiber touches (machine, cluster) long after it ran. *)
-    queue = Evq.create ~dummy:{ ev_label = 0; ev_run = ignore } evq;
+    queue = Eheap.create ~dummy:{ ev_label = 0; ev_run = ignore } ();
     seq = 0;
     seed;
     rng = Prng.create ~seed;
@@ -80,10 +80,9 @@ let create ?(seed = 42) ?(evq = Evq.Heap) () =
 let now t = t.now
 let rng t = t.rng
 let seed t = t.seed
-let evq_impl t = Evq.impl t.queue
 let events_processed t = t.processed
-let queue_length t = Evq.length t.queue
-let queue_max_length t = Evq.max_length t.queue
+let queue_length t = Eheap.length t.queue
+let queue_max_length t = Eheap.max_length t.queue
 let parks t = t.parks
 let resumes t = t.resumes
 let waitq_dead t = t.waitq_dead
@@ -131,7 +130,7 @@ let push_event t ~after ~label run =
   assert (after >= 0);
   let seq = t.seq in
   t.seq <- seq + 1;
-  Evq.push t.queue
+  Eheap.push t.queue
     ~at:(Time.add t.now after)
     ~seq
     { ev_label = label; ev_run = run }
@@ -188,7 +187,7 @@ let run ?until t =
   let limit = match until with Some l -> l | None -> max_int in
   let continue = ref true in
   while !continue do
-    let at = Evq.next_at t.queue in
+    let at = Eheap.next_at t.queue in
     if at < 0 then continue := false
     else if at > limit then begin
       t.now <- limit;
@@ -204,14 +203,14 @@ let run ?until t =
          instead of twice (peek + pop), and nothing is allocated. *)
       match t.observer with
       | None ->
-          while Evq.next_at t.queue = at do
-            let ev = Evq.pop_exn t.queue in
+          while Eheap.next_at t.queue = at do
+            let ev = Eheap.pop_exn t.queue in
             t.processed <- t.processed + 1;
             ev.ev_run ()
           done
       | Some ob ->
-          while Evq.next_at t.queue = at do
-            let ev = Evq.pop_exn t.queue in
+          while Eheap.next_at t.queue = at do
+            let ev = Eheap.pop_exn t.queue in
             t.processed <- t.processed + 1;
             ob.on_event ~label:ev.ev_label ~now:at;
             ev.ev_run ();

@@ -9,7 +9,8 @@
 
     Determinism: given the same seed and the same program, every run produces
     the identical event interleaving. Events scheduled for the same instant
-    fire in scheduling order. *)
+    fire in scheduling order: the queue is an {!Eheap} keyed by
+    (time, scheduling sequence). *)
 
 type t
 
@@ -17,10 +18,8 @@ exception Fiber_failure of string * exn
 (** Raised out of {!run} when a fiber terminates with an uncaught exception.
     The string is the fiber's name. *)
 
-val create : ?seed:int -> ?evq:Evq.impl -> unit -> t
-(** Fresh engine with clock at zero. [seed] (default 42) seeds {!rng}.
-    [evq] (default {!Evq.Heap}) selects the event-queue implementation;
-    any run is bit-identical under either choice. *)
+val create : ?seed:int -> unit -> t
+(** Fresh engine with clock at zero. [seed] (default 42) seeds {!rng}. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -32,9 +31,6 @@ val seed : t -> int
 (** The seed this engine was created with. Components that need their own
     independent random stream (e.g. fault injection) derive one from this
     without advancing {!rng} — which would perturb the simulation. *)
-
-val evq_impl : t -> Evq.impl
-(** Which event-queue implementation this engine runs on. *)
 
 val events_processed : t -> int
 (** Total events executed so far; a cheap progress/complexity metric. *)

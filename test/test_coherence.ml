@@ -173,6 +173,44 @@ let test_write_read_across_kernels protocol () =
         (ok (Api.read th ~addr)));
   check_all cluster !the_pid
 
+(* Two threads on kernel 1 write-fault one page at once, so the second
+   fault reaches the home after the first made kernel 1 the writer. While
+   that grant is in flight the first thread keeps writing; a third thread
+   on kernel 1 reads throughout and must never see a version older than
+   the last one committed. *)
+let test_stale_write_grant_keeps_data protocol () =
+  let sys = mk ~opts:(proto_opts protocol) () in
+  let _, cluster = sys in
+  let stale = ref 0 in
+  in_proc sys (fun th ->
+      let proc = Types.proc_exn cluster (Api.pid th) in
+      let vma = ok (Api.mmap th ~len:(4 * page) ~prot:K.Vma.prot_rw) in
+      let addr = vma.K.Vma.start in
+      let vpn = K.Page_table.vpn_of_addr addr in
+      ok (Api.write th ~addr);
+      let latch = Workloads.Latch.create (Types.eng cluster) 3 in
+      let on_k1 f =
+        ignore
+          (Api.spawn th ~target:1 (fun c ->
+               f c;
+               Workloads.Latch.arrive latch))
+      in
+      on_k1 (fun c ->
+          ok (Api.write c ~addr);
+          for _ = 1 to 10 do
+            Api.compute c (Sim.Time.us 1);
+            ok (Api.write c ~addr)
+          done);
+      on_k1 (fun c -> ok (Api.write c ~addr));
+      on_k1 (fun c ->
+          for _ = 1 to 40 do
+            let v = ok (Api.read c ~addr) in
+            if v < Hashtbl.find proc.Types.page_version vpn then incr stale;
+            Api.compute c (Sim.Time.ns 50)
+          done);
+      Workloads.Latch.wait latch);
+  Alcotest.(check int) "stale reads" 0 !stale
+
 let test_write_invalidates_readers protocol () =
   let sys = mk ~opts:(proto_opts protocol) () in
   let _, cluster = sys in
@@ -665,24 +703,39 @@ let test_whole_system_determinism () =
   Alcotest.(check bool) "same seed, same universe" true (a = b);
   Alcotest.(check bool) "different seed, different universe" true (a <> c)
 
-let test_random_invariants () =
+(* Seeded (threads, steps, seed) runs. Some are regression inputs for
+   two address-space-consistency races, each of which failed here:
+   - origin 912 and sharded 651: a grant without data overwrote the
+     requester's copy with the version the home read when it built the
+     grant, rolling back a commit by a thread already writing there
+     ([Impl.install]);
+   - 6521 (both protocols) and origin 135: two threads arriving on a
+     kernel at once each created its replica, and the second replaced
+     the one the first had already faulted pages into
+     ([Thread_group.ensure_replica]). *)
+let seeded_invariant_runs ?opts runs () =
   List.iter
-    (fun seed ->
+    (fun (threads, steps, seed) ->
       let cluster, pid =
-        random_workload ~seed ~kernels:4 ~threads:8 ~steps:30 ()
+        random_workload ?opts ~seed ~kernels:4 ~threads ~steps ()
       in
       check_all cluster pid)
-    [ 1; 2; 3; 42; 1337 ]
+    runs
 
-let test_random_invariants_sharded () =
-  let opts = proto_opts Coherence.Protocol.Sharded_dir in
-  List.iter
-    (fun seed ->
-      let cluster, pid =
-        random_workload ~opts ~seed ~kernels:4 ~threads:8 ~steps:30 ()
-      in
-      check_all cluster pid)
-    [ 1; 2; 42; 1337 ]
+let test_random_invariants =
+  seeded_invariant_runs
+    [
+      (8, 30, 1); (8, 30, 2); (8, 30, 3); (8, 30, 42); (8, 30, 1337);
+      (8, 30, 912); (6, 15, 6521); (6, 15, 135);
+    ]
+
+let test_random_invariants_sharded =
+  seeded_invariant_runs
+    ~opts:(proto_opts Coherence.Protocol.Sharded_dir)
+    [
+      (8, 30, 1); (8, 30, 2); (8, 30, 42); (8, 30, 1337); (8, 30, 651);
+      (6, 15, 6521);
+    ]
 
 let prop_random_coherence =
   QCheck.Test.make ~name:"random workload keeps coherence invariants"
@@ -708,6 +761,10 @@ let () =
             (test_write_invalidates_readers Coherence.Protocol.Origin_home);
           Alcotest.test_case "write invalidates readers (sharded)" `Quick
             (test_write_invalidates_readers Coherence.Protocol.Sharded_dir);
+          Alcotest.test_case "stale write grant keeps data (origin)" `Quick
+            (test_stale_write_grant_keeps_data Coherence.Protocol.Origin_home);
+          Alcotest.test_case "stale write grant keeps data (sharded)" `Quick
+            (test_stale_write_grant_keeps_data Coherence.Protocol.Sharded_dir);
           Alcotest.test_case "protocols are memory-model equivalent" `Quick
             test_protocol_equivalence;
         ] );

@@ -287,6 +287,166 @@ let test_multi_run_tracks () =
   in
   Alcotest.(check (list int)) "two distinct runs" [ 0; 1 ] runs
 
+(* --- metrics interning --- *)
+
+let test_interned_cells_distinct () =
+  let m = Obs.Metrics.create () in
+  (* One name, three scopes: global, kernel 0, kernel 7. Interning maps
+     them all to one name id; the cells must stay distinct. *)
+  Obs.Metrics.add m "migrations" 5;
+  Obs.Metrics.incr m ~kernel:0 "migrations";
+  Obs.Metrics.add m ~kernel:7 "migrations" 3;
+  Obs.Metrics.incr m ~kernel:7 "migrations";
+  Alcotest.(check int) "global" 5 (Obs.Metrics.counter m "migrations");
+  Alcotest.(check int) "k0" 1 (Obs.Metrics.counter m ~kernel:0 "migrations");
+  Alcotest.(check int) "k7" 4 (Obs.Metrics.counter m ~kernel:7 "migrations");
+  (* Handles resolve to the same distinct cells. *)
+  let h0 = Obs.Metrics.counter_handle m ~kernel:0 "migrations" in
+  let h7 = Obs.Metrics.counter_handle m ~kernel:7 "migrations" in
+  Obs.Metrics.handle_incr h0;
+  Obs.Metrics.handle_add h7 10;
+  Alcotest.(check int) "k0 via handle" 2
+    (Obs.Metrics.counter m ~kernel:0 "migrations");
+  Alcotest.(check int) "k7 via handle" 14
+    (Obs.Metrics.counter m ~kernel:7 "migrations");
+  (* Row order: global scope sorts before per-kernel scopes. *)
+  let keys = List.map fst (Obs.Metrics.rows m) in
+  Alcotest.(check bool)
+    "rows ordered (name, None) < (name, Some k)" true
+    (keys
+    = [
+        ("migrations", None); ("migrations", Some 0); ("migrations", Some 7);
+      ])
+
+(* A faithful string-keyed reference registry — the pre-interning
+   implementation: one Hashtbl over (name, kernel option), read out by
+   sorting the keys. Drives the byte-identity check below. *)
+module String_keyed = struct
+  type cell =
+    | C of int ref
+    | G of float ref
+    | H of Stats.Histogram.t
+
+  type t = (string * int option, cell) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+
+  let cell t key mk =
+    match Hashtbl.find_opt t key with
+    | Some c -> c
+    | None ->
+        let c = mk () in
+        Hashtbl.add t key c;
+        c
+
+  let add t ?kernel name n =
+    match cell t (name, kernel) (fun () -> C (ref 0)) with
+    | C r -> r := !r + n
+    | _ -> assert false
+
+  let set_gauge t ?kernel name x =
+    match cell t (name, kernel) (fun () -> G (ref 0.)) with
+    | G r -> r := x
+    | _ -> assert false
+
+  let observe t ?kernel name x =
+    match cell t (name, kernel) (fun () -> H (Stats.Histogram.create ()))
+    with
+    | H h -> Stats.Histogram.add h x
+    | _ -> assert false
+
+  let to_json (t : t) =
+    let open Obs.Json in
+    let rows =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
+      |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
+    in
+    let scope = function None -> Null | Some k -> Int k in
+    let entry extra ((name, kernel), _) =
+      Obj (("name", Str name) :: ("kernel", scope kernel) :: extra)
+    in
+    let counters, gauges, hists =
+      List.fold_left
+        (fun (cs, gs, hs) ((_, v) as row) ->
+          match v with
+          | C r -> (entry [ ("value", Int !r) ] row :: cs, gs, hs)
+          | G r -> (cs, entry [ ("value", Float !r) ] row :: gs, hs)
+          | H h ->
+              ( cs,
+                gs,
+                entry
+                  [
+                    ("count", Int (Stats.Histogram.count h));
+                    ("mean", Float (Stats.Histogram.mean h));
+                    ("p50", Float (Stats.Histogram.median h));
+                    ("p99", Float (Stats.Histogram.p99 h));
+                    ("p999", Float (Stats.Histogram.p999 h));
+                    ("max", Float (Stats.Histogram.max h));
+                  ]
+                  row
+                :: hs ))
+        ([], [], []) rows
+    in
+    Obj
+      [
+        ("counters", Arr (List.rev counters));
+        ("gauges", Arr (List.rev gauges));
+        ("histograms", Arr (List.rev hists));
+      ]
+end
+
+let test_to_json_byte_identical () =
+  (* A seeded op sequence over a realistic name/kernel space, applied to
+     both registries; the JSON exports must agree byte for byte. The
+     names are minted in a scrambled order on purpose — the export is
+     sorted, so first-touch order must not leak. *)
+  let m = Obs.Metrics.create () in
+  let r = String_keyed.create () in
+  let rng = Sim.Prng.create ~seed:20260808 in
+  let names =
+    [|
+      "msg.sent";
+      "msg.latency_ns";
+      "sched.load";
+      "migrations";
+      "coherence.faults";
+      "slo.violations";
+    |]
+  in
+  for _ = 1 to 2_000 do
+    let name = names.(Sim.Prng.int_in rng 0 (Array.length names - 1)) in
+    let kernel =
+      match Sim.Prng.int_in rng 0 3 with
+      | 0 -> None
+      | k -> Some (k - 1)
+    in
+    (* Partition kinds by name so both registries agree on the kind. *)
+    match name with
+    | "msg.latency_ns" ->
+        let x = float_of_int (Sim.Prng.int_in rng 100 100_000) in
+        Obs.Metrics.observe m ?kernel name x;
+        String_keyed.observe r ?kernel name x
+    | "sched.load" ->
+        let x = float_of_int (Sim.Prng.int_in rng 0 100) /. 7. in
+        Obs.Metrics.set_gauge m ?kernel name x;
+        String_keyed.set_gauge r ?kernel name x
+    | _ ->
+        let n = Sim.Prng.int_in rng 1 5 in
+        Obs.Metrics.add m ?kernel name n;
+        String_keyed.add r ?kernel name n
+  done;
+  Alcotest.(check string)
+    "byte-identical export"
+    (Obs.Json.to_string (String_keyed.to_json r))
+    (Obs.Json.to_string (Obs.Metrics.to_json m))
+
+let test_kind_mismatch_raises () =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.incr m "x";
+  Alcotest.check_raises "observe on a counter name"
+    (Invalid_argument "Metrics: x is a counter, not a histogram") (fun () ->
+      Obs.Metrics.observe m "x" 1.)
+
 let () =
   Alcotest.run "obs"
     [
@@ -312,5 +472,14 @@ let () =
         [
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace_export;
           Alcotest.test_case "multi-run tracks" `Quick test_multi_run_tracks;
+        ] );
+      ( "interning",
+        [
+          Alcotest.test_case "cells distinct across kernels" `Quick
+            test_interned_cells_distinct;
+          Alcotest.test_case "to_json byte-identical to string-keyed"
+            `Quick test_to_json_byte_identical;
+          Alcotest.test_case "kind mismatch raises" `Quick
+            test_kind_mismatch_raises;
         ] );
     ]

@@ -356,6 +356,148 @@ let test_trace_chronological () =
   Alcotest.(check (list string)) "insertion order" [ "late"; "early" ]
     (List.map (fun e -> e.Trace.msg) (Trace.events tr))
 
+(* Event-heap contract: pop order is the total order (at, seq), checked
+   against a sorted-list reference model. *)
+
+module Model = struct
+  (* Events ordered by (at, seq); both keys strictly increase along the
+     list, making every pop unambiguous. *)
+  type 'a t = { mutable items : (int * int * 'a) list }
+
+  let create () = { items = [] }
+
+  let push t ~at ~seq v =
+    let rec ins = function
+      | [] -> [ (at, seq, v) ]
+      | (a, s, _) :: _ as rest when at < a || (at = a && seq < s) ->
+          (at, seq, v) :: rest
+      | hd :: rest -> hd :: ins rest
+    in
+    t.items <- ins t.items
+
+  let pop t =
+    match t.items with
+    | [] -> None
+    | hd :: rest ->
+        t.items <- rest;
+        Some hd
+end
+
+(* Op sequences mix pushes ([Some at]) and pops ([None]). *)
+let apply_ops ops =
+  let q = Eheap.create () in
+  let model = Model.create () in
+  let seq = ref 0 in
+  let ok = ref true in
+  List.iter
+    (fun op ->
+      match op with
+      | Some at ->
+          Eheap.push q ~at ~seq:!seq !seq;
+          Model.push model ~at ~seq:!seq !seq;
+          incr seq
+      | None -> if Eheap.pop q <> Model.pop model then ok := false)
+    ops;
+  (* Drain both to the end: the tail must agree too, and the heap must
+     report empty exactly when the model does. *)
+  let rec drain () =
+    let a = Eheap.pop q and b = Model.pop model in
+    if a <> b then ok := false else if a <> None then drain ()
+  in
+  drain ();
+  !ok && Eheap.is_empty q
+
+let show_ops ops =
+  String.concat "; "
+    (List.map
+       (function Some at -> Printf.sprintf "push@%d" at | None -> "pop")
+       ops)
+
+let test_same_instant_fifo () =
+  let q = Eheap.create () in
+  for seq = 0 to 99 do
+    Eheap.push q ~at:42 ~seq seq
+  done;
+  for expect = 0 to 99 do
+    match Eheap.pop q with
+    | Some (42, s, v) when s = expect && v = expect -> ()
+    | got ->
+        Alcotest.failf "same-instant pop %d mismatch: %s" expect
+          (match got with
+          | None -> "empty"
+          | Some (a, s, _) -> Printf.sprintf "(%d,%d)" a s)
+  done
+
+let test_horizon_clamp () =
+  (* Timestamps at and next to max_int must keep their order. The second
+     input is the sequence that once overflowed a bucketed queue's window
+     arithmetic: after popping an event at max_int, max_int + 1 wrapped
+     negative and the next push indexed out of bounds. *)
+  List.iter
+    (fun ops -> Alcotest.(check bool) (show_ops ops) true (apply_ops ops))
+    [
+      List.map Option.some [ max_int - 1; 5; max_int; 0; max_int - 7; 3 ];
+      [ Some max_int; None; Some 0 ];
+    ]
+
+let test_interleaved_rewindow () =
+  (* Pop partway, then push both behind the consumed front and far beyond
+     everything queued: the pop stream must stay globally sorted. *)
+  let q = Eheap.create () in
+  let seq = ref 0 in
+  let push at =
+    Eheap.push q ~at ~seq:!seq ();
+    incr seq
+  in
+  List.iter push [ 10; 20; 30; 40_000; 50_000 ];
+  (match Eheap.pop q with
+  | Some (10, _, _) -> ()
+  | _ -> Alcotest.fail "first pop");
+  List.iter push [ 11; 15; 9_000_000; 25 ];
+  let rec drain acc =
+    match Eheap.pop q with
+    | None -> List.rev acc
+    | Some (at, _, _) -> drain (at :: acc)
+  in
+  Alcotest.(check (list int))
+    "global order"
+    [ 11; 15; 20; 25; 30; 40_000; 50_000; 9_000_000 ]
+    (drain [])
+
+let test_dummy_slot_clearing () =
+  (* Payloads popped from a heap created with ~dummy must be collectable
+     immediately: no slot may retain them. This is what keeps executed
+     engine closures from pinning machine graphs. *)
+  let n = 64 in
+  let weak = Weak.create n in
+  let q = Eheap.create ~dummy:(Bytes.create 0) () in
+  for i = 0 to n - 1 do
+    let payload = Bytes.make 16 'p' in
+    Weak.set weak i (Some payload);
+    Eheap.push q ~at:(i * 1_000_003) ~seq:i payload
+  done;
+  for _ = 1 to n do
+    ignore (Eheap.pop_exn q)
+  done;
+  Alcotest.(check bool) "drained" true (Eheap.is_empty q);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check int) "retained payloads" 0 !live
+
+let test_next_at_sentinel () =
+  let q = Eheap.create () in
+  Alcotest.(check int) "empty sentinel" (-1) (Eheap.next_at q);
+  Eheap.push q ~at:17 ~seq:0 ();
+  Eheap.push q ~at:5 ~seq:1 ();
+  Alcotest.(check int) "min" 5 (Eheap.next_at q);
+  ignore (Eheap.pop_exn q);
+  Alcotest.(check int) "after pop" 17 (Eheap.next_at q);
+  ignore (Eheap.pop_exn q);
+  Alcotest.(check int) "drained sentinel" (-1) (Eheap.next_at q)
+
 (* Scheduler introspection: the counters the profiler samples. All of them
    are maintained unconditionally, so these tests need no observer. *)
 
@@ -505,6 +647,25 @@ let prop_heap_ordering =
       let order = drain None [] in
       List.length order = List.length times)
 
+(* Time generator:mostly small values with far-future and
+   max_int-adjacent outliers. *)
+let gen_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_bound 1_000);
+        (3, map (fun x -> x * 1009) (int_bound 10_000));
+        (2, map (fun x -> x * 1_000_003) (int_bound 100_000));
+        (1, map (fun x -> max_int - x) (int_bound 1_000));
+      ])
+
+let prop_heap_vs_model =
+  QCheck.Test.make ~name:"heap vs sorted-list model" ~count:300
+    (QCheck.make ~print:show_ops
+       QCheck.Gen.(
+         list (frequency [ (3, map Option.some gen_time); (2, return None) ])))
+    apply_ops
+
 let prop_prng_deterministic =
   QCheck.Test.make ~name:"prng deterministic from seed" ~count:100
     QCheck.int (fun seed ->
@@ -580,6 +741,19 @@ let () =
           Alcotest.test_case "backpressure" `Quick test_channel_backpressure;
           Alcotest.test_case "recv timeout" `Quick test_channel_recv_timeout;
         ] );
+      ( "contract",
+        [
+          Alcotest.test_case "same-instant fifo" `Quick
+            test_same_instant_fifo;
+          Alcotest.test_case "horizon clamp near max_int" `Quick
+            test_horizon_clamp;
+          Alcotest.test_case "interleaved rewindow" `Quick
+            test_interleaved_rewindow;
+          Alcotest.test_case "dummy-slot clearing" `Quick
+            test_dummy_slot_clearing;
+          Alcotest.test_case "next_at -1 sentinel" `Quick
+            test_next_at_sentinel;
+        ] );
       ( "introspection",
         [
           Alcotest.test_case "eheap high-water" `Quick test_eheap_high_water;
@@ -598,6 +772,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_heap_ordering;
+            prop_heap_vs_model;
             prop_prng_deterministic;
             prop_prng_bounds;
             prop_shuffle_permutes;
