@@ -14,19 +14,6 @@ type t = Origin_home | Sharded_dir
 let all = [ Origin_home; Sharded_dir ]
 let to_string = function Origin_home -> "origin" | Sharded_dir -> "sharded"
 
-let long_name = function
-  | Origin_home -> "origin-home directory"
-  | Sharded_dir -> "sharded directory"
-
-let of_string s =
-  match String.lowercase_ascii s with
-  | "origin" | "origin-home" | "origin_home" -> Ok Origin_home
-  | "sharded" | "sharded-dir" | "sharded_dir" -> Ok Sharded_dir
-  | _ ->
-      Error
-        (Printf.sprintf "unknown coherence protocol %S (expected %s)" s
-           (String.concat "|" (List.map to_string all)))
-
 (* SplitMix64 finalizer over the VPN. Adjacent pages of a hot region must
    scatter across home kernels or the shard assignment degenerates into
    origin-home with extra hops; a multiplicative hash alone is not enough

@@ -27,14 +27,3 @@ let create () =
     downgrades = 0;
     drop_msgs = 0;
   }
-
-let reset t =
-  t.faults <- 0;
-  t.local_faults <- 0;
-  t.dir_hops <- 0;
-  t.grants <- 0;
-  t.invalidations <- 0;
-  t.max_fanout <- 0;
-  t.pulls <- 0;
-  t.downgrades <- 0;
-  t.drop_msgs <- 0

@@ -1,12 +1,10 @@
 (** Message vocabulary of the coherence protocols. The cluster's payload
-    type embeds [t] as a single constructor; requests are routed to the
-    active protocol's [handle], responses complete the matching RPC ticket
-    on the receiving kernel (see [resp_ticket]).
+    type embeds [t] as a single constructor; requests are routed to
+    [Popcorn.Page_coherence.handle], responses complete the matching RPC
+    ticket on the receiving kernel (see [resp_ticket]).
 
     Sizes are body bytes; the transport header is added by the embedding
-    payload's size function. They match the sizes the pre-extraction
-    protocol charged, message for message, so origin-home timing is
-    bit-identical to the monolithic implementation it was carved out of. *)
+    payload's size function. *)
 
 type pid = Kernelmodel.Ids.pid
 

@@ -92,18 +92,7 @@ let origin_mprotect cluster (origin : kernel) (proc : process) ~requester
       match K.Vma.protect r.vmas ~start ~len ~prot with
       | Error e -> Error e
       | Ok () ->
-          (* Same local page-drop the replicas perform. *)
-          let removed = K.Page_table.clear_range r.pt ~start ~len in
-          List.iter
-            (fun (pte : K.Page_table.pte) ->
-              Hw.Memory.free cluster.machine.Hw.Machine.mem
-                pte.K.Page_table.frame)
-            removed;
-          let first = K.Page_table.vpn_of_addr start in
-          let last = K.Page_table.vpn_of_addr (start + len - 1) in
-          for vpn = first to last do
-            Hashtbl.remove r.page_data vpn
-          done;
+          Page_coherence.drop_range_local cluster origin r ~start ~len;
           Proto_util.broadcast_and_wait cluster ~src:origin
             ~targets:(other_members proc ~except:requester)
             ~make:(fun ~ack_ticket ->

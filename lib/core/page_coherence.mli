@@ -1,5 +1,4 @@
-(** On-demand page coherence for distributed address spaces — facade over
-    the pluggable protocol subsystem ({!Coherence}).
+(** On-demand page coherence for distributed address spaces.
 
     Single-writer / multiple-reader protocol with a per-page directory: a
     page is writable on at most one kernel; read-only replicas may exist
@@ -10,10 +9,10 @@
     acknowledges installing the grant (the randomized tests show the
     dual-writer race this prevents).
 
-    Where a page is homed is the protocol choice ([cluster.opts.coherence]):
-    the process's origin kernel under {!Coherence.Protocol.Origin_home}
-    (the paper's design, and the default), a hash of the VPN under
-    {!Coherence.Protocol.Sharded_dir}.
+    Where a page is homed is the protocol choice ([cluster.opts.coherence]),
+    and the only thing the two protocols differ in: the process's origin
+    kernel under {!Coherence.Protocol.Origin_home} (the paper's design, and
+    the default), a hash of the VPN under {!Coherence.Protocol.Sharded_dir}.
 
     Page contents are modelled as per-page version numbers: the owner's
     writes bump the version in place (shared physical memory — hardware,
@@ -71,5 +70,5 @@ val drop_range_directory :
 
 val handle :
   cluster -> kernel -> src:int -> cause:int -> Coherence.Wire.req -> unit
-(** Route one coherence request to the active protocol. [cause] is the
+(** Route one coherence request to its handler. [cause] is the
     delivery's message id, linking the handler span into the causal DAG. *)

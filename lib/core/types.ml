@@ -20,9 +20,8 @@ type tid = Kernelmodel.Ids.tid
 (** Directory entry for one virtual page of a distributed process, kept at
     the kernel the active coherence protocol homes the page on (the origin
     under [Origin_home], a hash of the vpn under [Sharded_dir]).
-    Re-exported from {!Coherence.Dir} so tests and tools can keep using
-    [Types.page_loc]. *)
-type page_loc = Coherence.Dir.entry = {
+    Invariant: [writer] and a non-empty [readers] are mutually exclusive. *)
+type page_loc = {
   mutable writer : int option;  (** kernel with the sole writable copy. *)
   mutable readers : int list;  (** kernels holding read-only replicas. *)
 }
@@ -137,10 +136,10 @@ type payload =
   | Vma_lookup_resp of { ticket : int; vma : Kernelmodel.Vma.vma option }
   (* --- page coherence --- *)
   | Coh of Coherence.Wire.t
-      (** the active coherence protocol's vocabulary (fault/pull/
-          invalidate/downgrade/drop-range and their responses); requests
-          route to the protocol's handler, responses complete the ticket
-          named by {!Coherence.Wire.resp_ticket}. *)
+      (** the coherence protocol's vocabulary (fault/pull/invalidate/
+          downgrade/drop-range and their responses); requests route to
+          [Page_coherence.handle], responses complete the ticket named by
+          {!Coherence.Wire.resp_ticket}. *)
   (* --- distributed futex --- *)
   | Futex_wait_req of { pid : pid; addr : int; waiter : dfutex_waiter }
   | Futex_wait_cancel of { pid : pid; addr : int; wake_ticket : int }
@@ -254,7 +253,7 @@ and options = {
   coherence : Coherence.Protocol.t;
       (** which page-coherence protocol the cluster runs: the paper's
           origin-home directory (default) or the vpn-sharded directory
-          (see {!Coherence}). *)
+          (see [Page_coherence]). *)
   migration_retry : Msg.Rpc.retry_policy option;
       (** when set, migration requests are retransmitted under this policy
           instead of waiting forever, and a migration that exhausts its

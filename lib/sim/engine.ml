@@ -25,7 +25,6 @@ type t = {
   seed : int;
   rng : Prng.t;
   mutable processed : int;
-  mutable tracer : (Time.t -> string -> unit) option;
   mutable observer : observer option;
   (* Label interner: ids are dense, per-engine, minted at spawn/schedule
      time; the reverse arrays resolve them for error messages and
@@ -63,7 +62,6 @@ let create ?(seed = 42) () =
     seed;
     rng = Prng.create ~seed;
     processed = 0;
-    tracer = None;
     observer = None;
     labels = Hashtbl.create 64;
     label_names = [||];
@@ -225,8 +223,3 @@ let run ?until t =
 let sleep t dt = if dt <= 0 then () else Effect.perform (Sleep (t, dt))
 let yield t = Effect.perform (Sleep (t, 0))
 let suspend t register = Effect.perform (Suspend (t, register))
-
-let set_trace t sink = t.tracer <- sink
-
-let trace t msg =
-  match t.tracer with None -> () | Some sink -> sink t.now (msg ())

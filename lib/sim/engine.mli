@@ -174,11 +174,3 @@ type observer = {
 val set_observer : t -> observer option -> unit
 (** Install (or remove) the profiling observer. When none is installed the
     per-event cost is a single [option] check. *)
-
-(** {1 Tracing} *)
-
-val set_trace : t -> (Time.t -> string -> unit) option -> unit
-(** Install (or remove) a trace sink. *)
-
-val trace : t -> (unit -> string) -> unit
-(** Emit a trace line; the thunk is only forced when a sink is installed. *)

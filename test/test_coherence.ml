@@ -561,8 +561,22 @@ let test_drop_range_edges protocol () =
              Workloads.Latch.arrive latch));
       Workloads.Latch.wait latch;
       (* ...and 6,7 never touched. Unmap the middle six pages. *)
+      let drop_msgs () = cluster.Types.coh_stats.Coherence.Stats.drop_msgs in
+      let drops_before = drop_msgs () in
       ok (Api.munmap th ~start:(base + page) ~len:(6 * page));
       let proc = th.Api.proc in
+      (* One batched Drop_range per home other than the initiating origin:
+         none under origin-home, one per remote shard under sharded. *)
+      let remote_homes =
+        List.init 6 (fun i ->
+            Coherence.Protocol.home protocol ~origin:proc.Types.origin
+              ~nkernels:(Types.nkernels cluster) ~vpn:(vpn (i + 1)))
+        |> List.filter (fun h -> h <> proc.Types.origin)
+        |> List.sort_uniq compare
+      in
+      Alcotest.(check int) "one drop message per remote home"
+        (List.length remote_homes)
+        (drop_msgs () - drops_before);
       for i = 1 to 6 do
         Alcotest.(check bool)
           (Printf.sprintf "page %d directory entry dropped" i)
@@ -592,6 +606,35 @@ let test_drop_range_edges protocol () =
              Workloads.Latch.arrive latch2));
       Workloads.Latch.wait latch2);
   check_all cluster !the_pid
+
+(* Origin-side mprotect drops its local copy of the range exactly as
+   munmap does, TLB flush included. In a single-kernel process neither
+   sends a message, so the two must take the same simulated time. *)
+let test_origin_mprotect_flushes_like_munmap () =
+  let sys = mk () in
+  let _, cluster = sys in
+  let elapsed f =
+    let t0 = Sim.Engine.now (Types.eng cluster) in
+    ok (f ());
+    Sim.Engine.now (Types.eng cluster) - t0
+  in
+  let mprotect_ns = ref 0 and munmap_ns = ref 0 in
+  in_proc sys (fun th ->
+      let written_range () =
+        let vma = ok (Api.mmap th ~len:(4 * page) ~prot:K.Vma.prot_rw) in
+        for i = 0 to 3 do
+          ok (Api.write th ~addr:(vma.K.Vma.start + (i * page)))
+        done;
+        vma.K.Vma.start
+      in
+      let a = written_range () in
+      mprotect_ns :=
+        elapsed (fun () ->
+            Api.mprotect th ~start:a ~len:(4 * page) ~prot:K.Vma.prot_r);
+      let b = written_range () in
+      munmap_ns := elapsed (fun () -> Api.munmap th ~start:b ~len:(4 * page)));
+  Alcotest.(check int) "mprotect takes as long as munmap" !munmap_ns
+    !mprotect_ns
 
 (* The documented trade-off of the sharded directory: pages hash to homes
    irrespective of the origin, so even a single-kernel process messages the
@@ -789,6 +832,8 @@ let () =
             (test_drop_range_edges Coherence.Protocol.Sharded_dir);
           Alcotest.test_case "sharded homes pages off-origin" `Quick
             test_sharded_homes_off_origin;
+          Alcotest.test_case "origin mprotect flushes like munmap" `Quick
+            test_origin_mprotect_flushes_like_munmap;
         ] );
       ( "groups+ssi",
         [

@@ -175,23 +175,6 @@ let test_machine_helpers () =
   Alcotest.(check bool) "copy >= 1us for 8KiB cross" true (copy > Time.us 1);
   Alcotest.(check int) "cross-socket line" 130 line
 
-let test_engine_trace_hook () =
-  let m = mk_machine () in
-  let eng = m.Hw.Machine.eng in
-  let lines = ref [] in
-  Engine.set_trace eng (Some (fun at msg -> lines := (at, msg) :: !lines));
-  Engine.spawn eng (fun () ->
-      Engine.trace eng (fun () -> "hello");
-      Engine.sleep eng (Time.us 1);
-      Engine.trace eng (fun () -> "world"));
-  Engine.run eng;
-  Alcotest.(check int) "two lines" 2 (List.length !lines);
-  Engine.set_trace eng None;
-  (* Thunks are not forced without a sink. *)
-  Engine.spawn eng (fun () ->
-      Engine.trace eng (fun () -> Alcotest.fail "forced without sink"));
-  Engine.run eng
-
 (* Properties *)
 
 let prop_memory_frames_unique =
@@ -250,10 +233,7 @@ let () =
             test_spinlock_release_unheld;
         ] );
       ( "machine",
-        [
-          Alcotest.test_case "cost helpers" `Quick test_machine_helpers;
-          Alcotest.test_case "engine trace hook" `Quick test_engine_trace_hook;
-        ] );
+        [ Alcotest.test_case "cost helpers" `Quick test_machine_helpers ] );
       ( "cacheline+ipi",
         [
           Alcotest.test_case "cacheline serializes" `Quick
