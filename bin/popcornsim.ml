@@ -137,10 +137,7 @@ let export ~quick outcomes json trace baseline =
           (fun (o : Experiments.Registry.outcome) -> o.sink)
           outcomes
       in
-      let spans = List.map (fun (s : Obs.Sink.t) -> s.Obs.Sink.spans) sinks in
-      let causal = List.map (fun (s : Obs.Sink.t) -> s.Obs.Sink.causal) sinks in
-      let traces = List.map (fun (s : Obs.Sink.t) -> s.Obs.Sink.trace) sinks in
-      Obs.Json.to_file path (Obs.Export.chrome_trace ~spans ~causal ~traces ());
+      Obs.Json.to_file path (Obs.Export.chrome_trace sinks);
       Printf.printf "wrote %s\n" path
 
 (* --- list --- *)
@@ -338,7 +335,7 @@ let metrics_demo_cmd =
       (match trace with
       | None -> ()
       | Some path ->
-          Obs.Json.to_file path (Obs.Sink.chrome_trace sink);
+          Obs.Json.to_file path (Obs.Export.chrome_trace [ sink ]);
           Printf.printf "wrote %s\n" path);
       `Ok ()
     end

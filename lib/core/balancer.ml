@@ -14,8 +14,8 @@
     Load queries are per-peer timed calls (never a barrier), so a crashed
     peer costs one timeout per round instead of wedging the balancer; each
     query outcome feeds the optional {!Health} tracker, and drained peers
-    are neither queried nor chosen. The destination comes from a
-    {!Placement.POLICY}. Hints that nothing consumes — the thread exited,
+    are neither queried nor chosen. The destination comes from
+    {!Placement.choose}. Hints that nothing consumes — the thread exited,
     migrated on its own, or never reached a migration point — are expired
     after [hint_ttl] (the stale-hint leak: a dead tid's hint used to live
     forever). *)
@@ -28,7 +28,6 @@ type t = {
   threshold : int;  (** hint only if local load exceeds average by this. *)
   hint_ttl : Sim.Time.t;
   query_timeout : Sim.Time.t;
-  policy : (module Placement.POLICY);
   health : Health.t option;
   mutable hints_issued : int;
   mutable hints_stale : int;
@@ -116,20 +115,13 @@ let round t cluster (kernel : kernel) =
           let peer = kernel_of cluster dst in
           {
             Placement.ck = dst;
-            ck_core = peer.home_core;
             ck_load = load;
             ck_weight = List.length peer.cores;
           }
           :: acc)
         loads []
     in
-    let (module P : Placement.POLICY) = t.policy in
-    let target =
-      P.choose
-        ~topo:cluster.machine.Hw.Machine.topo
-        ~src_core:kernel.home_core ~candidates
-    in
-    match target with
+    match Placement.choose candidates with
     | Some target
       when target <> kernel.kid
            && Hashtbl.find_opt loads target |> Option.value ~default:mine
@@ -161,11 +153,8 @@ let round t cluster (kernel : kernel) =
   end
 
 (** Start balancer fibers on every kernel. They run until [stop]. *)
-let start ?(period = Sim.Time.ms 1) ?(threshold = 2) ?policy ?health
-    ?hint_ttl ?(query_timeout = Sim.Time.us 100) cluster : t =
-  let policy =
-    Option.value policy ~default:(module Placement.Weighted_least_loaded : Placement.POLICY)
-  in
+let start ?(period = Sim.Time.ms 1) ?(threshold = 2) ?health ?hint_ttl
+    ?(query_timeout = Sim.Time.us 100) cluster : t =
   let hint_ttl = Option.value hint_ttl ~default:(2 * period) in
   let t =
     {
@@ -173,7 +162,6 @@ let start ?(period = Sim.Time.ms 1) ?(threshold = 2) ?policy ?health
       threshold;
       hint_ttl;
       query_timeout;
-      policy;
       health;
       hints_issued = 0;
       hints_stale = 0;

@@ -11,8 +11,8 @@
     tracker; drained peers are skipped, and a kernel that is itself
     drained self-quarantines — it skips its own rounds, because a node
     that cannot reach its peers would otherwise report the healthy
-    majority as dead. Destinations come from a
-    {!Placement.POLICY}. Hints nothing consumes are expired (the
+    majority as dead. Destinations come from {!Placement.choose}. Hints
+    nothing consumes are expired (the
     [balancer.hints_stale] metric counts them). *)
 
 open Types
@@ -22,7 +22,6 @@ type t
 val start :
   ?period:Sim.Time.t ->
   ?threshold:int ->
-  ?policy:(module Placement.POLICY) ->
   ?health:Health.t ->
   ?hint_ttl:Sim.Time.t ->
   ?query_timeout:Sim.Time.t ->
@@ -30,8 +29,7 @@ val start :
   t
 (** Start balancer fibers on every kernel. [period] defaults to 1 ms;
     [threshold] (default 2) is how far above the cluster average a
-    kernel's load must be before it sheds a thread; [policy] (default
-    weighted-least-loaded) picks the destination; [health] (when given) is
+    kernel's load must be before it sheds a thread; [health] (when given) is
     fed every load-query outcome and masks drained peers; [hint_ttl]
     (default 2 periods) expires unconsumed hints; [query_timeout] (default
     100 us) bounds each per-peer load query. *)

@@ -4,66 +4,20 @@ open Sim
 open Types
 module K = Kernelmodel
 
-type candidate = {
-  ck : int;
-  ck_core : Hw.Topology.core;
-  ck_load : int;
-  ck_weight : int;
-}
+type candidate = { ck : int; ck_load : int; ck_weight : int }
 
-module type POLICY = sig
-  val name : string
-
-  val choose :
-    topo:Hw.Topology.t ->
-    src_core:Hw.Topology.core ->
-    candidates:candidate list ->
-    int option
-end
-
-(* Lowest score wins; equal scores break towards the lowest kernel id.
-   Scores are scaled integers (1024 = one load unit) so policies stay
-   float-free and bit-stable. *)
-let argmin score candidates =
+(* Least load per unit of weight; equal scores break towards the lowest
+   kernel id. Scores are scaled integers (1024 = one load unit) so the
+   choice stays float-free and bit-stable. *)
+let choose candidates =
   List.fold_left
     (fun acc c ->
-      let s = score c in
+      let s = c.ck_load * 1024 / max 1 c.ck_weight in
       match acc with
       | Some (bs, bk) when bs < s || (bs = s && bk < c.ck) -> acc
       | _ -> Some (s, c.ck))
     None candidates
   |> Option.map snd
-
-let weighted_load c = c.ck_load * 1024 / max 1 c.ck_weight
-
-module Weighted_least_loaded = struct
-  let name = "least-loaded"
-  let choose ~topo:_ ~src_core:_ ~candidates = argmin weighted_load candidates
-end
-
-module Numa_aware = struct
-  let name = "numa"
-
-  (* Crossing a socket costs about one load unit; staying on the
-     requester's socket a quarter of one. The imbalance must pay for the
-     interconnect crossing before work leaves the socket. *)
-  let penalty = function
-    | Hw.Topology.Self -> 0
-    | Hw.Topology.Same_socket -> 256
-    | Hw.Topology.Cross_socket -> 1024
-
-  let choose ~topo ~src_core ~candidates =
-    argmin
-      (fun c ->
-        weighted_load c + penalty (Hw.Topology.distance topo src_core c.ck_core))
-      candidates
-end
-
-let policies =
-  [
-    (Weighted_least_loaded.name, (module Weighted_least_loaded : POLICY));
-    (Numa_aware.name, (module Numa_aware : POLICY));
-  ]
 
 (* --- dispatcher --- *)
 
@@ -84,7 +38,6 @@ let default_retry =
 
 type t = {
   cluster : cluster;
-  policy : (module POLICY);
   health : Health.t option;
   retry : retry;
   high_water : int;
@@ -93,8 +46,7 @@ type t = {
   mutable total : int;
 }
 
-let create ?(policy = (module Weighted_least_loaded : POLICY)) ?health ?retry
-    ?high_water ~frontend cluster =
+let create ?health ?retry ?high_water ~frontend cluster =
   let retry = Option.value retry ~default:default_retry in
   if retry.max_attempts < 1 then
     invalid_arg "Placement.create: max_attempts must be >= 1";
@@ -106,7 +58,6 @@ let create ?(policy = (module Weighted_least_loaded : POLICY)) ?health ?retry
   in
   {
     cluster;
-    policy;
     health;
     retry;
     high_water;
@@ -142,7 +93,6 @@ let candidates t ~exclude ~ignore_health =
            Some
              {
                ck = k.kid;
-               ck_core = k.home_core;
                ck_load = t.per_kernel.(k.kid);
                ck_weight = List.length k.cores;
              }
@@ -159,9 +109,7 @@ let pick t ?(exclude = []) () =
         candidates t ~exclude ~ignore_health:true
     | cs -> cs
   in
-  let (module P : POLICY) = t.policy in
-  P.choose ~topo:t.cluster.machine.Hw.Machine.topo
-    ~src_core:(kernel_of t.cluster t.frontend).home_core ~candidates:cs
+  choose cs
 
 type outcome =
   | Placed of { kernel : int; attempts : int }

@@ -1,10 +1,10 @@
-(** Cluster-wide placement: policies deciding which kernel should host
-    work, plus a dispatcher with admission control and bounded
+(** Cluster-wide placement: one pure function deciding which kernel
+    should host work, plus a dispatcher with admission control and bounded
     retry-on-other-kernel.
 
-    Policies are pure: they score a candidate list and pick a kernel, so
-    the balancer (thread re-placement hints) and the request dispatcher
-    (initial placement of incoming work) share them. The dispatcher is the
+    {!choose} scores a candidate list and picks a kernel, so the balancer
+    (thread re-placement hints) and the request dispatcher (initial
+    placement of incoming work) share it. The dispatcher is the
     nginx-upstream shape transplanted to kernels: passive health checks
     ({!Health}) mark kernels down, a failed placement retries on the next
     candidate under a capped exponential per-attempt deadline (the
@@ -17,36 +17,14 @@ open Types
 (** One kernel as a placement candidate. *)
 type candidate = {
   ck : int;  (** kernel id. *)
-  ck_core : Hw.Topology.core;  (** its home core (NUMA position). *)
   ck_load : int;  (** current load (dispatcher in-flight or runqueue). *)
   ck_weight : int;  (** capacity weight (its core count). *)
 }
 
-module type POLICY = sig
-  val name : string
-
-  val choose :
-    topo:Hw.Topology.t ->
-    src_core:Hw.Topology.core ->
-    candidates:candidate list ->
-    int option
-  (** Pick a kernel from [candidates] (already filtered for availability);
-      [None] iff the list is empty. Deterministic: equal scores break ties
-      towards the lowest kernel id. *)
-end
-
-module Weighted_least_loaded : POLICY
-(** Minimise load normalised by weight — nginx's weighted least-conn. *)
-
-module Numa_aware : POLICY
-(** Weighted-least-loaded plus a NUMA distance penalty from [src_core] to
-    the candidate's home core (same socket is cheap, crossing a socket
-    costs about one load unit) — per "New Thread Migration Strategies for
-    NUMA Systems": keep work near its requester unless the imbalance pays
-    for the crossing. *)
-
-val policies : (string * (module POLICY)) list
-(** Registered policies by name (for CLIs and sweeps). *)
+val choose : candidate list -> int option
+(** The candidate with the least load per unit of weight (nginx's
+    weighted least-conn); equal scores break towards the lowest kernel id.
+    [None] iff the list is empty. *)
 
 (** {1 Dispatcher} *)
 
@@ -68,15 +46,14 @@ val default_retry : retry
 type t
 
 val create :
-  ?policy:(module POLICY) ->
   ?health:Health.t ->
   ?retry:retry ->
   ?high_water:int ->
   frontend:int ->
   cluster ->
   t
-(** A dispatcher living on kernel [frontend]. [policy] defaults to
-    {!Weighted_least_loaded}; [health] (when given) masks drained kernels
+(** A dispatcher living on kernel [frontend]. [health] (when given) masks
+    drained kernels
     out of the candidate set and is fed every dispatch outcome;
     [high_water] is the cluster-wide in-flight cap above which new work is
     shed (default: the cluster's total core count). *)
@@ -87,7 +64,7 @@ val inflight : t -> int
 val inflight_on : t -> int -> int
 
 val pick : t -> ?exclude:int list -> unit -> int option
-(** The policy's current choice among available (healthy/suspect, not
+(** {!choose}'s current pick among available (healthy/suspect, not
     excluded) kernels. When health has drained {e every} kernel — a
     fabric-wide fault looks like unanimous sickness — falls back to
     ignoring health rather than refusing to place (the L7-balancer panic

@@ -10,6 +10,7 @@ module K = Kernelmodel
     order of magnitude more expensive than re-animating a parked dummy. *)
 let task_construct_cost = Sim.Time.us 12
 let dummy_adopt_cost = Sim.Time.us 1
+let dummy_pool_size = 8
 
 let create_master cluster ~(origin : kernel) : process =
   let pid = K.Ids.next origin.pid_alloc in
@@ -73,14 +74,12 @@ let add_member_kernel (proc : process) kid =
     thread from the pool when the optimisation is on and the pool is
     non-empty, else construct from scratch. *)
 let charge_task_acquisition cluster (r : replica) =
-  let opts = cluster.opts in
-  if opts.use_dummy_pool && r.dummy_pool > 0 then begin
+  if cluster.opts.use_dummy_pool && r.dummy_pool > 0 then begin
     r.dummy_pool <- r.dummy_pool - 1;
     Proto_util.kernel_work cluster dummy_adopt_cost;
     (* Refill the pool in the background, as Popcorn's refill worker does. *)
-    let refill_target = opts.dummy_pool_size in
     Sim.Engine.spawn (eng cluster) ~tag:"popcorn" ~name:"dummy-refill" (fun () ->
-        if r.dummy_pool < refill_target then begin
+        if r.dummy_pool < dummy_pool_size then begin
           Proto_util.kernel_work cluster task_construct_cost;
           r.dummy_pool <- r.dummy_pool + 1
         end)
@@ -109,8 +108,7 @@ let adopt_task cluster (kernel : kernel) (r : replica)
     a remote kernel, off the critical path in the real system; here we just
     set the counter since the spawning happened "earlier"). *)
 let prime_dummy_pool cluster (r : replica) =
-  if cluster.opts.use_dummy_pool then
-    r.dummy_pool <- cluster.opts.dummy_pool_size
+  if cluster.opts.use_dummy_pool then r.dummy_pool <- dummy_pool_size
 
 (** Remove a task from this kernel's tables. The group-wide live count is
     owned by the origin; callers route the decrement there (directly when

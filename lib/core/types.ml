@@ -246,7 +246,6 @@ and options = {
   use_dummy_pool : bool;
       (** pre-spawn dummy threads at remote kernels (paper's optimisation);
           when false every import pays full task-construction cost. *)
-  dummy_pool_size : int;
   read_replication : bool;
       (** allow read-only page replicas; when false every remote fault
           migrates the page exclusively (ablation). *)
@@ -268,7 +267,6 @@ let default_options =
     arch_of_kernel = (fun _ -> X86_64);
     migration_prefetch = 0;
     use_dummy_pool = true;
-    dummy_pool_size = 8;
     read_replication = true;
     coherence = Coherence.Protocol.Origin_home;
     migration_retry = None;

@@ -180,7 +180,7 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
           Obs.Slo.summarize
             ~counters:(Obs.Slo.counters_of_registry s.Obs.Sink.metrics)
             (Obs.Critpath.build
-               ~spans:(Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans)
+               ~spans:(Obs.Span.spans s.Obs.Sink.spans)
                ~causal:(Obs.Causal.events s.Obs.Sink.causal))
         in
         Obs.Slo.record t s.Obs.Sink.metrics;
@@ -294,8 +294,9 @@ let outcome_json ?(metrics_only = false) (o : outcome) =
          else
            [
              ( "spans",
-               Obs.Critpath.ispans_to_json
-                 (Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans) );
+               Obs.Json.Arr
+                 (List.map Obs.Span.to_json (Obs.Span.spans s.Obs.Sink.spans))
+             );
              ("causal", Obs.Causal.to_json s.Obs.Sink.causal);
            ]))
 

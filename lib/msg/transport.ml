@@ -51,8 +51,7 @@ type 'a endpoint = {
   mutable tx_seq : int array;
       (** last sent sequence number per destination node, indexed by
           destination (grown on demand): the sender-side twin of
-          [last_seq]. Sends from a node without an endpoint fall back to
-          the transport-level table. *)
+          [last_seq]. *)
   mutable worker_idle : bool;
   mutable em : (Obs.Metrics.t * ep_metrics) option;
       (** handles + the registry they were resolved against (observability
@@ -97,10 +96,6 @@ type 'a t = {
   ring_slots : int;
   handler : 'a t -> dst:node -> src:node -> delivery -> 'a -> unit;
   endpoints : (node, 'a endpoint) Hashtbl.t;
-  seq_tx : (node * node, int) Hashtbl.t;
-      (** (src,dst) -> last sent seq, for sources {e without} an endpoint
-          ([send_from_core] is public); endpoint sources use their
-          [tx_seq] array instead. *)
   mutable next_msg_id : int;
   mutable hooks : hooks option;
   mutable st_sent : int;
@@ -121,7 +116,6 @@ let create machine ~ring_slots ~handler =
     ring_slots;
     handler;
     endpoints = Hashtbl.create 16;
-    seq_tx = Hashtbl.create 64;
     next_msg_id = 0;
     hooks = None;
     st_sent = 0;
@@ -293,26 +287,17 @@ let add_node t node ~home_core =
     ~name:(Printf.sprintf "msg-worker-n%d" node)
     (fun () -> worker_loop t ep)
 
-(* Per-destination tx sequence, from the source endpoint's flat array when
-   there is one (the hot path: no tuple key, no hashing), else the
-   transport-level table. *)
-let next_seq t ~src_ep ~src ~dst =
-  match src_ep with
-  | Some ep ->
-      if dst >= Array.length ep.tx_seq then begin
-        let a = Array.make (max 16 (2 * (dst + 1))) 0 in
-        Array.blit ep.tx_seq 0 a 0 (Array.length ep.tx_seq);
-        ep.tx_seq <- a
-      end;
-      let seq = ep.tx_seq.(dst) + 1 in
-      ep.tx_seq.(dst) <- seq;
-      seq
-  | None ->
-      let seq =
-        1 + Option.value ~default:0 (Hashtbl.find_opt t.seq_tx (src, dst))
-      in
-      Hashtbl.replace t.seq_tx (src, dst) seq;
-      seq
+(* Per-destination tx sequence, from the source endpoint's flat array (no
+   tuple key, no hashing). *)
+let next_seq ep ~dst =
+  if dst >= Array.length ep.tx_seq then begin
+    let a = Array.make (max 16 (2 * (dst + 1))) 0 in
+    Array.blit ep.tx_seq 0 a 0 (Array.length ep.tx_seq);
+    ep.tx_seq <- a
+  end;
+  let seq = ep.tx_seq.(dst) + 1 in
+  ep.tx_seq.(dst) <- seq;
+  seq
 
 (* Ring write + (conditional) doorbell for one packet copy. *)
 let enqueue t ep ~src ~src_core ~bytes ~seq ~msg_id ~from_span ~extra_delay
@@ -358,6 +343,7 @@ let enqueue t ep ~src ~src_core ~bytes ~seq ~msg_id ~from_span ~extra_delay
 let send_from_core t ?from_span ~src ~src_core ~dst ~bytes payload =
   let m = t.machine in
   let eng = m.Hw.Machine.eng in
+  let src_ep = endpoint t src in
   let ep = endpoint t dst in
   let cross = not (Hw.Topology.same_socket m.Hw.Machine.topo src_core ep.core) in
   (* Sender cost: reserve a slot (one atomic fetch-add on a possibly-remote
@@ -369,21 +355,14 @@ let send_from_core t ?from_span ~src ~src_core ~dst ~bytes payload =
   let copy = Hw.Params.copy_cost m.Hw.Machine.params ~bytes ~cross_socket:cross in
   Engine.sleep eng (Time.add reserve copy);
   t.st_sent <- t.st_sent + 1;
-  (* Sender-side metrics are scoped to [src]; its own endpoint caches the
-     handles. (A src without an endpoint cannot arise from [send], but
-     [send_from_core] is public — fall back to the by-name path.) *)
-  let src_ep = Hashtbl.find_opt t.endpoints src in
-  (match src_ep with
-  | Some sep -> (
-      match ep_metrics t sep with
-      | None -> ()
-      | Some h ->
-          Obs.Metrics.handle_incr h.em_sent;
-          Obs.Metrics.handle_add h.em_bytes bytes)
-  | None ->
-      Hw.Machine.metric_incr m ~kernel:src "msg.sent";
-      Hw.Machine.metric_add m ~kernel:src "msg.bytes" bytes);
-  let seq = next_seq t ~src_ep ~src ~dst in
+  (* Sender-side metrics are scoped to [src]; its endpoint caches the
+     handles. *)
+  (match ep_metrics t src_ep with
+  | None -> ()
+  | Some h ->
+      Obs.Metrics.handle_incr h.em_sent;
+      Obs.Metrics.handle_add h.em_bytes bytes);
+  let seq = next_seq src_ep ~dst in
   let msg_id = t.next_msg_id in
   t.next_msg_id <- msg_id + 1;
   (* The send event fires even for messages the fault plan then drops: a
@@ -400,18 +379,14 @@ let send_from_core t ?from_span ~src ~src_core ~dst ~bytes payload =
       (* The sender paid the full send cost, but the message never makes it
          out of the ring (modelling a corrupted/lost slot). *)
       t.st_dropped <- t.st_dropped + 1;
-      (match src_ep with
-      | Some sep -> ep_incr t sep (fun h -> h.em_dropped)
-      | None -> Hw.Machine.metric_incr m ~kernel:src "msg.dropped")
+      ep_incr t src_ep (fun h -> h.em_dropped)
   | Pass | Duplicate | Delay _ ->
       let extra_delay = match action with Delay d -> d | _ -> Time.zero in
       enqueue t ep ~src ~src_core ~bytes ~seq ~msg_id ~from_span ~extra_delay
         payload;
       if action = Duplicate then begin
         t.st_duplicated <- t.st_duplicated + 1;
-        (match src_ep with
-        | Some sep -> ep_incr t sep (fun h -> h.em_duplicated)
-        | None -> Hw.Machine.metric_incr m ~kernel:src "msg.duplicated");
+        ep_incr t src_ep (fun h -> h.em_duplicated);
         enqueue t ep ~src ~src_core ~bytes ~seq ~msg_id ~from_span
           ~extra_delay payload
       end

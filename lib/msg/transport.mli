@@ -109,7 +109,8 @@ val send_from_core :
   'a ->
   unit
 (** Like {!send} but with an explicit sending core (for threads running on a
-    non-home core of the source kernel). *)
+    non-home core of the source kernel). Raises [Invalid_argument] when
+    [src] or [dst] is not a node of this transport. *)
 
 val set_jitter : 'a t -> max_extra:Time.t -> unit
 (** Fault/robustness injection: add a uniformly random extra delay in

@@ -41,17 +41,18 @@ let link t ~id ~span = push t (Link { id; run = run t; span })
 let events t = List.rev t.acc
 let count t = t.count
 
-(* --- JSON (rides in the results document; see DESIGN.md, causal model) --- *)
+(* --- JSON: one shape for a results document's "causal" entries and the
+   [args] of Chrome-trace flow events (see DESIGN.md, causal model) --- *)
 
 let opt_int = function None -> Json.Null | Some i -> Json.Int i
 
-let event_json = function
+let event_to_json ?(run_offset = 0) = function
   | Send { id; run; src; dst; at; bytes; from_span } ->
       Json.Obj
         [
           ("ev", Json.Str "send");
           ("id", Json.Int id);
-          ("run", Json.Int run);
+          ("run", Json.Int (run_offset + run));
           ("src", Json.Int src);
           ("dst", Json.Int dst);
           ("at", Json.Int at);
@@ -63,7 +64,7 @@ let event_json = function
         [
           ("ev", Json.Str "deliver");
           ("id", Json.Int id);
-          ("run", Json.Int run);
+          ("run", Json.Int (run_offset + run));
           ("dst", Json.Int dst);
           ("at", Json.Int at);
         ]
@@ -72,26 +73,18 @@ let event_json = function
         [
           ("ev", Json.Str "link");
           ("id", Json.Int id);
-          ("run", Json.Int run);
+          ("run", Json.Int (run_offset + run));
           ("span", Json.Int span);
         ]
 
-let to_json t = Json.Arr (List.map event_json (events t))
+let to_json t = Json.Arr (List.map event_to_json (events t))
 
 (* Tolerant decoding: an analyzer must survive truncated or hand-edited
    documents, so unknown shapes are skipped rather than fatal. *)
 
-let field k = function Json.Obj fs -> List.assoc_opt k fs | _ -> None
-
-let int_field k j =
-  match field k j with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
 let event_of_json j =
-  let req k f = Option.bind (int_field k j) f in
-  match field "ev" j with
+  let req k f = Option.bind (Json.int_field k j) f in
+  match Json.field "ev" j with
   | Some (Json.Str "send") ->
       req "id" (fun id ->
           req "src" (fun src ->
@@ -101,13 +94,15 @@ let event_of_json j =
                         (Send
                            {
                              id;
-                             run = Option.value ~default:0 (int_field "run" j);
+                             run =
+                               Option.value ~default:0 (Json.int_field "run" j);
                              src;
                              dst;
                              at;
                              bytes =
-                               Option.value ~default:0 (int_field "bytes" j);
-                             from_span = int_field "from_span" j;
+                               Option.value ~default:0
+                                 (Json.int_field "bytes" j);
+                             from_span = Json.int_field "from_span" j;
                            })))))
   | Some (Json.Str "deliver") ->
       req "id" (fun id ->
@@ -117,7 +112,7 @@ let event_of_json j =
                     (Deliver
                        {
                          id;
-                         run = Option.value ~default:0 (int_field "run" j);
+                         run = Option.value ~default:0 (Json.int_field "run" j);
                          dst;
                          at;
                        }))))
@@ -128,7 +123,7 @@ let event_of_json j =
                 (Link
                    {
                      id;
-                     run = Option.value ~default:0 (int_field "run" j);
+                     run = Option.value ~default:0 (Json.int_field "run" j);
                      span;
                    })))
   | _ -> None

@@ -55,13 +55,18 @@ val events : t -> event list
 
 val count : t -> int
 
+val event_to_json : ?run_offset:int -> event -> Json.t
+(** One event object ([{"ev":"send"|"deliver"|"link", ...}]): an entry of
+    a results document's ["causal"] section and the [args] of a
+    Chrome-trace flow event alike. [run_offset] (default 0) is added to
+    [run], so events of several recorders merged into one document keep
+    distinct runs. *)
+
 val to_json : t -> Json.t
-(** Array of event objects ([{"ev":"send"|"deliver"|"link", ...}]). *)
+(** Array of {!event_to_json} objects, in emission order. *)
 
 val event_of_json : Json.t -> event option
-(** Decode one event object; [None] on anything malformed. Also decodes
-    the [args] objects of {!Export.chrome_trace} causal flow events (same
-    shape). *)
+(** Inverse of {!event_to_json}; [None] on anything malformed. *)
 
 val events_of_json : Json.t -> event list
 (** Tolerant inverse of {!to_json}: malformed or unknown entries are

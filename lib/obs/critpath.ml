@@ -3,91 +3,7 @@
    recorder but message ids restart per machine boot, and spans parsed
    back from JSON carry no uniqueness guarantee at all. *)
 
-type ispan = {
-  sid : int;
-  parent : int option;
-  kind : string;
-  kernel : int;
-  tid : int option;
-  run : int;
-  start : int;
-  stop : int;
-}
-
-let ispans_of_recorder rec_ =
-  List.map
-    (fun (s : Span.span) ->
-      {
-        sid = s.Span.id;
-        parent = s.Span.parent;
-        kind = Span.kind_name s.Span.kind;
-        kernel = s.Span.kernel;
-        tid = s.Span.tid;
-        run = s.Span.run;
-        start = s.Span.start;
-        stop = s.Span.stop;
-      })
-    (Span.spans rec_)
-
-let ispans_to_json spans =
-  Json.Arr
-    (List.map
-       (fun s ->
-         Json.Obj
-           ([
-              ("id", Json.Int s.sid);
-              ("kind", Json.Str s.kind);
-              ("kernel", Json.Int s.kernel);
-              ("run", Json.Int s.run);
-              ("start", Json.Int s.start);
-              ("stop", Json.Int s.stop);
-            ]
-           @ (match s.parent with
-             | None -> []
-             | Some p -> [ ("parent", Json.Int p) ])
-           @
-           match s.tid with
-           | None -> []
-           | Some t -> [ ("tid", Json.Int t) ]))
-       spans)
-
-let int_field fields name =
-  match List.assoc_opt name fields with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let str_field fields name =
-  match List.assoc_opt name fields with Some (Json.Str s) -> Some s | _ -> None
-
-let ispans_of_json j =
-  match j with
-  | Json.Arr items ->
-      List.filter_map
-        (function
-          | Json.Obj fields -> (
-              match
-                ( int_field fields "id",
-                  str_field fields "kind",
-                  int_field fields "kernel",
-                  int_field fields "start" )
-              with
-              | Some sid, Some kind, Some kernel, Some start ->
-                  Some
-                    {
-                      sid;
-                      parent = int_field fields "parent";
-                      kind;
-                      kernel;
-                      tid = int_field fields "tid";
-                      run = Option.value (int_field fields "run") ~default:0;
-                      start;
-                      stop = Option.value (int_field fields "stop") ~default:(-1);
-                    }
-              | _ -> None)
-          | _ -> None)
-        items
-  | _ -> []
+open Span
 
 (* ------------------------------------------------------------------ *)
 (* The happens-before index of one (spans, causal) data set.          *)
@@ -96,8 +12,8 @@ let ispans_of_json j =
 type send_rec = { s_src : int; s_dst : int; s_at : int; s_from : int option }
 
 type t = {
-  spans : ispan list; (* creation order *)
-  span_by_id : (int * int, ispan) Hashtbl.t; (* (run, sid) *)
+  spans : span list; (* creation order *)
+  span_by_id : (int * int, span) Hashtbl.t; (* (run, id) *)
   children : (int * int, int list) Hashtbl.t; (* (run, sid) -> child sids *)
   sends : (int * int, send_rec) Hashtbl.t; (* (run, msg id) *)
   delivers : (int * int, int) Hashtbl.t; (* (run, msg id) -> at *)
@@ -128,9 +44,9 @@ let build ~spans ~causal =
   in
   List.iter
     (fun s ->
-      Hashtbl.replace ix.span_by_id (s.run, s.sid) s;
+      Hashtbl.replace ix.span_by_id (s.run, s.id) s;
       (match s.parent with
-      | Some p -> add_multi ix.children (s.run, p) s.sid
+      | Some p -> add_multi ix.children (s.run, p) s.id
       | None -> ());
       bump_end s.run (Stdlib.max s.start s.stop))
     spans;
@@ -154,20 +70,20 @@ let build ~spans ~causal =
     causal;
   ix
 
-let stop_eff ix (s : ispan) =
+let stop_eff ix (s : span) =
   if s.stop >= 0 then s.stop
   else
     Stdlib.max s.start
       (Option.value (Hashtbl.find_opt ix.run_end s.run) ~default:s.start)
 
-let duration ix (s : ispan) = stop_eff ix s - s.start
+let duration ix (s : span) = stop_eff ix s - s.start
 
 (* ------------------------------------------------------------------ *)
 (* Critical path.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type seg = { label : string; on_wire : bool; seg_start : int; seg_stop : int }
-type path = { root : ispan; total_ns : int; segs : seg list }
+type path = { root : span; total_ns : int; segs : seg list }
 
 (* An interval competing for slices of the root window. Innermost-active
    wins: latest start first, wire beats the span it was sent from on ties,
@@ -184,12 +100,12 @@ let rank iv = (iv.i_start, (if iv.i_wire then 1 else 0), iv.i_id)
 
 (* Component of the happens-before DAG reachable from [root]: children via
    parent edges, messages via their sending span, remote spans via Link. *)
-let component ix (root : ispan) =
+let component ix (root : span) =
   let run = root.run in
   let comp_spans = Hashtbl.create 64 in
   let comp_msgs = Hashtbl.create 64 in
   let pending = Queue.create () in
-  Queue.add (`Span root.sid) pending;
+  Queue.add (`Span root.id) pending;
   while not (Queue.is_empty pending) do
     match Queue.pop pending with
     | `Span sid ->
@@ -230,7 +146,7 @@ let critical_path ix ~root =
               i_stop = stop_eff ix s;
               i_wire = false;
               i_id = sid;
-              i_label = Printf.sprintf "%s@k%d" s.kind s.kernel;
+              i_label = Printf.sprintf "%s@k%d" (kind_name s.kind) s.kernel;
             }
             :: !intervals)
     comp_spans;
@@ -302,7 +218,7 @@ let critical_path ix ~root =
   { root; total_ns = w_stop - w_start; segs = List.rev segs }
 
 let roots ix ~kind =
-  List.filter (fun s -> s.parent = None && s.kind = kind) ix.spans
+  List.filter (fun s -> s.parent = None && kind_name s.kind = kind) ix.spans
 
 (* ------------------------------------------------------------------ *)
 (* Per-subsystem self time.                                            *)
@@ -352,7 +268,7 @@ let self_times ix =
             Option.map
               (fun cs -> (cs.start, stop_eff ix cs))
               (Hashtbl.find_opt ix.span_by_id (s.run, c)))
-          (Option.value (Hashtbl.find_opt ix.children (s.run, s.sid)) ~default:[])
+          (Option.value (Hashtbl.find_opt ix.children (s.run, s.id)) ~default:[])
       in
       let wire_ivals =
         List.filter_map
@@ -364,10 +280,10 @@ let self_times ix =
             | Some sr, Some d_at when d_at > sr.s_at -> Some (sr.s_at, d_at)
             | _ -> None)
           (Option.value
-             (Hashtbl.find_opt ix.sends_by_span (s.run, s.sid))
+             (Hashtbl.find_opt ix.sends_by_span (s.run, s.id))
              ~default:[])
       in
-      add (subsystem s.kind)
+      add (subsystem (kind_name s.kind))
         (hi - lo - union_len ~lo ~hi (child_ivals @ wire_ivals)))
     ix.spans;
   Hashtbl.iter

@@ -12,30 +12,9 @@
       (duration minus nested children and in-flight wire time), rolled up
       per subsystem.
 
-    Analysis works on plain {!ispan} records rather than live
-    {!Span.span}s so that the same code path serves both in-process sinks
-    and spans parsed back from an exported JSON document. *)
-
-type ispan = {
-  sid : int;
-  parent : int option;
-  kind : string;  (** {!Span.kind_name} of the phase *)
-  kernel : int;
-  tid : int option;
-  run : int;
-  start : int;
-  stop : int;  (** -1 while open; clamped to end-of-run by the analysis *)
-}
-
-val ispans_of_recorder : Span.t -> ispan list
-(** Snapshot a live recorder into analysis records (creation order). *)
-
-val ispans_to_json : ispan list -> Json.t
-(** Array of span objects; the "spans" section of a results document. *)
-
-val ispans_of_json : Json.t -> ispan list
-(** Tolerant inverse of {!ispans_to_json}: malformed entries are skipped,
-    so truncated documents still decode. *)
+    Analysis reads {!Span.span} records, whether they come from a live
+    recorder or were decoded with {!Span.of_json} from a results document
+    or a Chrome trace; it alone clamps spans left open. *)
 
 (** {1 The happens-before index} *)
 
@@ -48,13 +27,13 @@ type t
     dataset, not once per root. Everything is keyed by (run, id), because
     message ids restart per machine boot. *)
 
-val build : spans:ispan list -> causal:Causal.event list -> t
+val build : spans:Span.span list -> causal:Causal.event list -> t
 (** Index a dataset in one pass over [spans] and one over [causal]: time
     and space linear in their lengths. The first [Send] and the first
     [Deliver] of a message id win, so duplicate deliveries are ignored;
     a [Send] without a [Deliver] is a lost message. *)
 
-val duration : t -> ispan -> int
+val duration : t -> Span.span -> int
 (** A span's latency: its stop (or, while open, the latest timestamp of
     its run) minus its start. For a root this is the [total_ns] of its
     {!critical_path}, without computing the path. *)
@@ -70,11 +49,11 @@ type seg = {
   seg_stop : int;
 }
 
-type path = { root : ispan; total_ns : int; segs : seg list }
+type path = { root : Span.span; total_ns : int; segs : seg list }
 (** [total_ns] equals the root span's (clamped) duration and equals the
     sum of all segment durations — the partition is exact. *)
 
-val critical_path : t -> root:ispan -> path
+val critical_path : t -> root:Span.span -> path
 (** Critical path through the happens-before component reachable from
     [root]: children via parent edges, messages via their sending span,
     remote spans via the message that caused them ({!Causal.Link}).
@@ -84,8 +63,9 @@ val critical_path : t -> root:ispan -> path
     The work depends on the size of that component, not of the
     dataset. *)
 
-val roots : t -> kind:string -> ispan list
-(** Top-level spans (no parent) of [kind], in creation order. *)
+val roots : t -> kind:string -> Span.span list
+(** Top-level spans (no parent) whose {!Span.kind_name} is [kind], in
+    creation order. *)
 
 (** {1 Self time} *)
 

@@ -4,42 +4,26 @@
    per (run, kernel) pair so repeated boots sharing a recorder don't overlap,
    one "thread" row per simulated tid (row 0 for kernel-level spans).
 
-   Every span event also carries exact-nanosecond [start_ns]/[stop_ns] args
-   (plus ids and parent links) so `popcornsim analyze` can reconstruct the
-   span forest from the trace file without precision loss; causal events
-   (message send/deliver/link) ride along as flow events in cat "causal". *)
+   The [args] of every span event are the span's results-document object
+   ({!Span.to_json}), and those of every causal flow event the causal
+   entry ({!Causal.event_to_json}), so `popcornsim analyze` decodes a trace
+   exactly as it decodes a results document. *)
 
 let us ns = float_of_int ns /. 1_000.
 
 let pid_of_kernel ~run_offset ~run ~kernel = ((run_offset + run) * 100) + kernel
-let pid_of ~run_offset (s : Span.span) =
-  pid_of_kernel ~run_offset ~run:s.run ~kernel:s.kernel
 
-let span_event ~run_offset ~run_end (s : Span.span) =
-  (* An unclosed span (the workload never finished it) is clamped to the
-     end of its run so it renders — and analyzes — as "open until the end"
-     rather than as a zero-width sliver at its start. *)
-  let stop = if s.stop < 0 then Stdlib.max s.start (run_end s.run) else s.stop in
-  let args =
-    [ ("span_id", Json.Int s.id); ("kernel", Json.Int s.kernel);
-      ("run", Json.Int s.run);
-      ("start_ns", Json.Int s.start); ("stop_ns", Json.Int stop) ]
-    @ (if s.stop < 0 then [ ("unclosed", Json.Bool true) ] else [])
-    @ (match s.parent with
-      | None -> []
-      | Some p -> [ ("parent", Json.Int p) ])
-    @ match s.tid with None -> [] | Some t -> [ ("sim_tid", Json.Int t) ]
-  in
+let span_event ~run_offset ~dur (s : Span.span) =
   Json.Obj
     [
       ("name", Json.Str (Span.kind_name s.kind));
       ("cat", Json.Str "span");
       ("ph", Json.Str "X");
       ("ts", Json.Float (us s.start));
-      ("dur", Json.Float (us (stop - s.start)));
-      ("pid", Json.Int (pid_of ~run_offset s));
+      ("dur", Json.Float (us dur));
+      ("pid", Json.Int (pid_of_kernel ~run_offset ~run:s.run ~kernel:s.kernel));
       ("tid", Json.Int (match s.tid with None -> 0 | Some t -> t + 1));
-      ("args", Json.Obj args);
+      ("args", Span.to_json ~run_offset s);
     ]
 
 let process_meta ~pid name =
@@ -67,55 +51,24 @@ let trace_event (e : Sim.Trace.event) =
 let flow_id ~run_offset ~run id = (((run_offset + run) * 1_000_000) + id)
 
 let causal_event ~run_offset (e : Causal.event) =
+  let args = ("args", Causal.event_to_json ~run_offset e) in
+  let flow ph bp ~run ~id ~at ~kernel =
+    Json.Obj
+      ([ ("name", Json.Str "msg"); ("cat", Json.Str "causal"); ("ph", Json.Str ph) ]
+      @ bp
+      @ [
+          ("id", Json.Int (flow_id ~run_offset ~run id));
+          ("ts", Json.Float (us at));
+          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel));
+          ("tid", Json.Int 0);
+          args;
+        ])
+  in
   match e with
-  | Causal.Send { id; run; src; dst; at; bytes; from_span } ->
-      Json.Obj
-        [
-          ("name", Json.Str "msg");
-          ("cat", Json.Str "causal");
-          ("ph", Json.Str "s");
-          ("id", Json.Int (flow_id ~run_offset ~run id));
-          ("ts", Json.Float (us at));
-          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel:src));
-          ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              ([
-                 ("ev", Json.Str "send");
-                 ("id", Json.Int id);
-                 ("run", Json.Int run);
-                 ("src", Json.Int src);
-                 ("dst", Json.Int dst);
-                 ("at", Json.Int at);
-                 ("bytes", Json.Int bytes);
-               ]
-              @
-              match from_span with
-              | None -> []
-              | Some sp -> [ ("from_span", Json.Int sp) ]) );
-        ]
+  | Causal.Send { id; run; src; at; _ } -> flow "s" [] ~run ~id ~at ~kernel:src
   | Causal.Deliver { id; run; dst; at } ->
-      Json.Obj
-        [
-          ("name", Json.Str "msg");
-          ("cat", Json.Str "causal");
-          ("ph", Json.Str "f");
-          ("bp", Json.Str "e");
-          ("id", Json.Int (flow_id ~run_offset ~run id));
-          ("ts", Json.Float (us at));
-          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel:dst));
-          ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("ev", Json.Str "deliver");
-                ("id", Json.Int id);
-                ("run", Json.Int run);
-                ("dst", Json.Int dst);
-                ("at", Json.Int at);
-              ] );
-        ]
-  | Causal.Link { id; run; span } ->
+      flow "f" [ ("bp", Json.Str "e") ] ~run ~id ~at ~kernel:dst
+  | Causal.Link _ ->
       (* No timestamp of its own: a pure edge record (message -> span). *)
       Json.Obj
         [
@@ -126,70 +79,47 @@ let causal_event ~run_offset (e : Causal.event) =
           ("ts", Json.Float 0.);
           ("pid", Json.Int 0);
           ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("ev", Json.Str "link");
-                ("id", Json.Int id);
-                ("run", Json.Int run);
-                ("span", Json.Int span);
-              ] );
+          args;
         ]
 
-let chrome_trace ?(spans = []) ?(causal = []) ?(traces = []) () =
+let event_run : Causal.event -> int = function
+  | Send { run; _ } | Deliver { run; _ } | Link { run; _ } -> run
+
+let chrome_trace sinks =
   let events = ref [] in
   let push e = events := e :: !events in
-  if traces <> [] then push (process_meta ~pid:0 "trace ring");
-  let run_offset = ref 0 in
-  let offsets = ref [] (* per span-recorder starting offset, in order *) in
-  List.iter
-    (fun rec_ ->
-      offsets := !run_offset :: !offsets;
-      let seen_pids = Hashtbl.create 8 in
-      (* End-of-run timestamps for clamping unclosed spans. *)
-      let run_ends = Hashtbl.create 4 in
-      List.iter
-        (fun (s : Span.span) ->
-          let upper = Stdlib.max s.start s.stop in
-          let cur =
-            Option.value (Hashtbl.find_opt run_ends s.run) ~default:0
-          in
-          Hashtbl.replace run_ends s.run (Stdlib.max cur upper))
-        (Span.spans rec_);
-      let run_end r = Option.value (Hashtbl.find_opt run_ends r) ~default:0 in
-      List.iter
-        (fun (s : Span.span) ->
-          let pid = pid_of ~run_offset:!run_offset s in
-          if not (Hashtbl.mem seen_pids pid) then begin
-            Hashtbl.add seen_pids pid ();
-            push
-              (process_meta ~pid
-                 (Printf.sprintf "run %d / kernel %d"
-                    (!run_offset + s.run) s.kernel))
-          end;
-          push (span_event ~run_offset:!run_offset ~run_end s))
-        (Span.spans rec_);
-      (* Reserve this recorder's run range before the next one starts. *)
-      let max_run =
-        List.fold_left
-          (fun m (s : Span.span) -> Stdlib.max m s.run)
-          (-1) (Span.spans rec_)
-      in
-      run_offset := !run_offset + max_run + 1)
-    spans;
-  (* Causal recorders pair positionally with span recorders (a sink holds
-     one of each), so their events land on the same offset-adjusted pids. *)
-  let offsets = Array.of_list (List.rev !offsets) in
-  List.iteri
-    (fun i c ->
-      let off = if i < Array.length offsets then offsets.(i) else 0 in
-      List.iter
-        (fun e -> push (causal_event ~run_offset:off e))
-        (Causal.events c))
-    causal;
-  List.iter
-    (fun tr -> List.iter (fun e -> push (trace_event e)) (Sim.Trace.events tr))
-    traces;
+  if sinks <> [] then push (process_meta ~pid:0 "trace ring");
+  let export_sink run_offset (sink : Sink.t) =
+    let spans = Span.spans sink.spans and causal = Causal.events sink.causal in
+    (* Open spans draw to the end of their run, as analysis clamps them;
+       their args keep stop = -1. *)
+    let ix = Critpath.build ~spans ~causal in
+    let seen_pids = Hashtbl.create 8 in
+    List.iter
+      (fun (s : Span.span) ->
+        let pid = pid_of_kernel ~run_offset ~run:s.run ~kernel:s.kernel in
+        if not (Hashtbl.mem seen_pids pid) then begin
+          Hashtbl.add seen_pids pid ();
+          push
+            (process_meta ~pid
+               (Printf.sprintf "run %d / kernel %d" (run_offset + s.run)
+                  s.kernel))
+        end;
+        push (span_event ~run_offset ~dur:(Critpath.duration ix s) s))
+      spans;
+    List.iter (fun e -> push (causal_event ~run_offset e)) causal;
+    List.iter (fun e -> push (trace_event e)) (Sim.Trace.events sink.trace);
+    (* Reserve this sink's runs, its spans' and its messages', before the
+       next sink starts. *)
+    let last_run =
+      List.fold_left
+        (fun m (s : Span.span) -> Stdlib.max m s.run)
+        (List.fold_left (fun m e -> Stdlib.max m (event_run e)) (-1) causal)
+        spans
+    in
+    run_offset + last_run + 1
+  in
+  ignore (List.fold_left export_sink 0 sinks);
   Json.Obj
     [
       ("traceEvents", Json.Arr (List.rev !events));

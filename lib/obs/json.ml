@@ -290,3 +290,23 @@ let of_file path =
   with
   | s -> of_string s
   | exception Sys_error msg -> Error msg
+
+(* Tolerant accessors: a missing key or a value of the wrong shape reads
+   as absent, so decoders survive truncated or hand-edited documents. *)
+
+let field k = function Obj fs -> List.assoc_opt k fs | _ -> None
+let str_field k j = match field k j with Some (Str s) -> Some s | _ -> None
+
+let int_field k j =
+  match field k j with
+  | Some (Int i) -> Some i
+  | Some (Float f) -> Some (int_of_float f)
+  | _ -> None
+
+let num_field k j =
+  match field k j with
+  | Some (Int i) -> Some (float_of_int i)
+  | Some (Float f) -> Some f
+  | _ -> None
+
+let arr_field k j = match field k j with Some (Arr l) -> l | _ -> []

@@ -27,3 +27,22 @@ val of_string : string -> (t, string) result
 
 val of_file : string -> (t, string) result
 (** {!of_string} over the file's contents; I/O errors become [Error]. *)
+
+(** {1 Tolerant accessors}
+
+    Every decoder in the tree reads documents through these: a missing key,
+    a non-object, or a value of the wrong shape reads as absent, so
+    truncated or hand-edited documents decode as far as they go. On
+    duplicate keys the first wins. *)
+
+val field : string -> t -> t option
+val str_field : string -> t -> string option
+
+val int_field : string -> t -> int option
+(** An [Int], or a [Float] truncated towards zero. *)
+
+val num_field : string -> t -> float option
+(** An [Int] or a [Float], as a float. *)
+
+val arr_field : string -> t -> t list
+(** The array's items; [[]] when absent or not an array. *)

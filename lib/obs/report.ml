@@ -4,79 +4,30 @@
 
 type dataset = {
   label : string;
-  spans : Critpath.ispan list;
+  spans : Span.span list;
   causal : Causal.event list;
   slo_counters : Slo.counters;
       (* deadline accounting from the experiment's metrics section (zero
          when the document carries none, e.g. a Chrome trace). *)
 }
 
-(* --- tiny Json accessors (tolerant: wrong shapes read as absent) --- *)
-
-let field k = function Json.Obj fs -> List.assoc_opt k fs | _ -> None
-
-let str_field k j =
-  match field k j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_field k j =
-  match field k j with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let num_field k j =
-  match field k j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
-
-let arr_field k j = match field k j with Some (Json.Arr l) -> l | _ -> []
+open Json
 
 (* --- document -> datasets --- *)
 
-(* Chrome trace: span X-events carry exact-ns args; causal flow events
-   carry args in the same shape as Causal.to_json entries. *)
+(* A Chrome trace's span and causal events carry, as [args], the same
+   objects a results document lists under "spans" and "causal". *)
 let datasets_of_chrome_trace j =
   let events = arr_field "traceEvents" j in
-  let spans =
+  let args cat decode =
     List.filter_map
       (fun e ->
-        match (str_field "cat" e, str_field "ph" e) with
-        | Some "span", Some "X" -> (
-            match field "args" e with
-            | Some args -> (
-                match
-                  ( int_field "span_id" args,
-                    str_field "name" e,
-                    int_field "kernel" args,
-                    int_field "start_ns" args )
-                with
-                | Some sid, Some kind, Some kernel, Some start ->
-                    Some
-                      {
-                        Critpath.sid;
-                        parent = int_field "parent" args;
-                        kind;
-                        kernel;
-                        tid = int_field "sim_tid" args;
-                        run = Option.value (int_field "run" args) ~default:0;
-                        start;
-                        stop =
-                          Option.value (int_field "stop_ns" args) ~default:(-1);
-                      }
-                | _ -> None)
-            | None -> None)
-        | _ -> None)
+        if str_field "cat" e = Some cat then Option.bind (field "args" e) decode
+        else None)
       events
   in
-  let causal =
-    List.filter_map
-      (fun e ->
-        match str_field "cat" e with
-        | Some "causal" -> Option.bind (field "args" e) Causal.event_of_json
-        | _ -> None)
-      events
-  in
+  let spans = args "span" Span.of_json in
+  let causal = args "causal" Causal.event_of_json in
   if spans = [] && causal = [] then []
   else [ { label = "trace"; spans; causal; slo_counters = Slo.no_counters } ]
 
@@ -84,11 +35,7 @@ let datasets_of_results j =
   List.filter_map
     (fun e ->
       let label = Option.value (str_field "id" e) ~default:"?" in
-      let spans =
-        match field "spans" e with
-        | Some s -> Critpath.ispans_of_json s
-        | None -> []
-      in
+      let spans = List.filter_map Span.of_json (arr_field "spans" e) in
       let causal =
         match field "causal" e with
         | Some c -> Causal.events_of_json c
@@ -116,7 +63,7 @@ let render_path b indent (p : Critpath.path) =
   List.iter
     (fun (s : Critpath.seg) ->
       buf_addf b "%s+%-10d %-28s %10d ns\n" indent
-        (s.Critpath.seg_start - p.Critpath.root.Critpath.start)
+        (s.Critpath.seg_start - p.Critpath.root.Span.start)
         s.Critpath.label
         (s.Critpath.seg_stop - s.Critpath.seg_start))
     p.Critpath.segs;
@@ -134,7 +81,7 @@ let render_analysis (d : dataset) =
   let b = Buffer.create 4096 in
   buf_addf b "== %s ==\n" d.label;
   let unclosed =
-    List.length (List.filter (fun s -> s.Critpath.stop < 0) d.spans)
+    List.length (List.filter (fun (s : Span.span) -> s.stop < 0) d.spans)
   in
   let sends, delivers =
     List.fold_left

@@ -3,14 +3,15 @@
 
     Accepts either a results document ([popcornsim-bench-v2], whose
     experiments carry "spans" and "causal" sections) or a Chrome trace
-    file written by {!Export.chrome_trace} (spans are reconstructed from
-    the exact-nanosecond args). All output is a pure function of the
+    file written by {!Export.chrome_trace}, whose span and causal events
+    carry the same objects as [args]; both decode with {!Span.of_json}
+    and {!Causal.event_of_json}. All output is a pure function of the
     document contents — no wall clock, no randomness — so reports diff
     cleanly across runs. *)
 
 type dataset = {
   label : string;  (** experiment id, or ["trace"] for a Chrome trace *)
-  spans : Critpath.ispan list;
+  spans : Span.span list;
   causal : Causal.event list;
   slo_counters : Slo.counters;
       (** deadline accounting parsed from the experiment's metrics

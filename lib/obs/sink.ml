@@ -5,14 +5,10 @@ type t = {
   trace : Sim.Trace.t;
 }
 
-let create ?(trace_capacity = 4096) () =
+let create () =
   {
     metrics = Metrics.create ();
     spans = Span.create ();
     causal = Causal.create ();
-    trace = Sim.Trace.create ~capacity:trace_capacity ();
+    trace = Sim.Trace.create ();
   }
-
-let chrome_trace t =
-  Export.chrome_trace ~spans:[ t.spans ] ~causal:[ t.causal ]
-    ~traces:[ t.trace ] ()

@@ -1,7 +1,7 @@
 (** A sink bundles one of everything the instrumentation can feed: a metrics
     registry, a span recorder, a causal (message send/deliver) event log and
     a bounded trace ring. Create one, attach it to a machine or cluster,
-    run, then export. *)
+    run, then export ({!Export.chrome_trace}). *)
 
 type t = {
   metrics : Metrics.t;
@@ -10,8 +10,5 @@ type t = {
   trace : Sim.Trace.t;
 }
 
-val create : ?trace_capacity:int -> unit -> t
-(** [trace_capacity] bounds the event ring (default 4096). *)
-
-val chrome_trace : t -> Json.t
-(** {!Export.chrome_trace} over this sink's spans and trace ring. *)
+val create : unit -> t
+(** The trace ring holds the 4096 most recent events. *)

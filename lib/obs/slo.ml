@@ -34,30 +34,15 @@ let counters_of_registry m =
     dispatch_violations = Metrics.counter m "slo.dispatch.violations";
   }
 
-(* --- tolerant Json accessors (wrong shapes read as absent/zero) --- *)
-
-let field k = function Json.Obj fs -> List.assoc_opt k fs | _ -> None
-
-let str_field k j =
-  match field k j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_field k j =
-  match field k j with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let arr_field k j = match field k j with Some (Json.Arr l) -> l | _ -> []
-
 let counters_of_json metrics_json =
   let sum name =
     List.fold_left
       (fun acc row ->
-        match (str_field "name" row, int_field "value" row) with
+        match Json.(str_field "name" row, int_field "value" row) with
         | Some n, Some v when n = name -> acc + v
         | _ -> acc)
       0
-      (arr_field "counters" metrics_json)
+      (Json.arr_field "counters" metrics_json)
   in
   {
     met = sum "slo.met";
@@ -130,9 +115,9 @@ let summarize_kind ix ~kind =
           ks_mean_ns = sum / n;
           ks_p99_ns = exact_percentile totals 99.;
           ks_worst_ns = latency worst;
-          ks_worst_sid = worst.Critpath.sid;
-          ks_worst_run = worst.Critpath.run;
-          ks_worst_kernel = worst.Critpath.kernel;
+          ks_worst_sid = worst.Span.id;
+          ks_worst_run = worst.Span.run;
+          ks_worst_kernel = worst.Span.kernel;
           ks_phases = phases_of_path (Critpath.critical_path ix ~root:worst);
         }
 
@@ -148,9 +133,9 @@ let summarize ?(counters = no_counters) ix =
    first-strict-max tie-break. *)
 let worst_path ix ks =
   List.find_opt
-    (fun (r : Critpath.ispan) ->
-      r.Critpath.sid = ks.ks_worst_sid
-      && r.Critpath.run = ks.ks_worst_run
+    (fun (r : Span.span) ->
+      r.Span.id = ks.ks_worst_sid
+      && r.Span.run = ks.ks_worst_run
       && Critpath.duration ix r = ks.ks_worst_ns)
     (Critpath.roots ix ~kind:ks.ks_kind)
   |> Option.map (fun root -> Critpath.critical_path ix ~root)
@@ -207,6 +192,7 @@ let to_json t =
     ]
 
 let of_json j =
+  let open Json in
   match str_field "schema" j with
   | Some "popcornsim-slo-v1" ->
       let counters =

@@ -20,6 +20,17 @@ let kind_name = function
   | Futex -> "futex"
   | Custom s -> s
 
+let kind_of_name = function
+  | "migration" -> Migration
+  | "context_capture" -> Context_capture
+  | "transfer" -> Transfer
+  | "import" -> Import
+  | "resume" -> Resume
+  | "thread_group_create" -> Thread_group_create
+  | "page_fault" -> Page_fault
+  | "futex" -> Futex
+  | s -> Custom s
+
 type span = {
   id : int;
   parent : int option;
@@ -59,3 +70,37 @@ let start t ?parent ?tid ~kernel ~at kind =
 
 let finish s ~at = s.stop <- at
 let spans t = List.rev t.acc
+
+let opt_int k = function None -> [] | Some v -> [ (k, Json.Int v) ]
+
+let to_json ?(run_offset = 0) s =
+  Json.Obj
+    ([
+       ("id", Json.Int s.id);
+       ("kind", Json.Str (kind_name s.kind));
+       ("kernel", Json.Int s.kernel);
+       ("run", Json.Int (run_offset + s.run));
+       ("start", Json.Int s.start);
+       ("stop", Json.Int s.stop);
+     ]
+    @ opt_int "parent" s.parent
+    @ opt_int "tid" s.tid)
+
+let of_json j =
+  match
+    Json.(int_field "id" j, str_field "kind" j, int_field "kernel" j,
+          int_field "start" j)
+  with
+  | Some id, Some kind, Some kernel, Some start ->
+      Some
+        {
+          id;
+          parent = Json.int_field "parent" j;
+          kind = kind_of_name kind;
+          kernel;
+          tid = Json.int_field "tid" j;
+          run = Option.value (Json.int_field "run" j) ~default:0;
+          start;
+          stop = Option.value (Json.int_field "stop" j) ~default:(-1);
+        }
+  | _ -> None

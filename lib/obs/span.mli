@@ -20,7 +20,11 @@ type kind =
 
 val kind_name : kind -> string
 
-type span = private {
+val kind_of_name : string -> kind
+(** Inverse of {!kind_name}; a name it does not produce decodes as
+    [Custom]. *)
+
+type span = {
   id : int;
   parent : int option;
   kind : kind;
@@ -48,3 +52,19 @@ val finish : span -> at:Sim.Time.t -> unit
 
 val spans : t -> span list
 (** All spans in creation order. *)
+
+(** {1 JSON}
+
+    One shape serves both an entry of a results document's ["spans"]
+    section and the [args] of a Chrome-trace span event:
+    [{"id","kind","kernel","run","start","stop"}], then ["parent"] and
+    ["tid"] when present. An open span keeps [stop = -1]; only the analysis
+    ({!Critpath}) clamps it. *)
+
+val to_json : ?run_offset:int -> span -> Json.t
+(** [run_offset] (default 0) is added to [run], so spans of several
+    recorders merged into one document keep distinct runs. *)
+
+val of_json : Json.t -> span option
+(** Tolerant inverse of {!to_json}: [None] unless [id], [kind], [kernel]
+    and [start] are present; [run] defaults to 0 and [stop] to -1. *)

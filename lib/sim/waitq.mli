@@ -1,7 +1,7 @@
 (** FIFO queues of parked fibers, with cancellation.
 
     This is the building block for every blocking primitive in the simulator
-    (mutexes, condition variables, futexes, message rings...). An entry can
+    (mutexes, barriers, futexes, message rings...). An entry can
     be cancelled (e.g. by a timeout) without disturbing queue order; a
     cancelled entry never consumes a wake-up. *)
 

@@ -7,9 +7,13 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+let spans_json (sink : Obs.Sink.t) =
+  Obs.Json.Arr (List.map Obs.Span.to_json (Obs.Span.spans sink.Obs.Sink.spans))
+
 (* Same shape as test_obs's workload, with the causal recorder attached:
-   two threads, each migrating once between two kernels. *)
-let run_workload ~sink ~seed () =
+   two threads, each migrating once between two kernels, computing
+   [compute_us] before and after. *)
+let run_workload ?(compute_us = 20) ~sink ~seed () =
   let machine = Hw.Machine.create ~seed ~sockets:1 ~cores_per_socket:4 () in
   let cluster = Popcorn.Cluster.boot machine ~kernels:2 ~cores_per_kernel:2 in
   let (s : Obs.Sink.t) = sink in
@@ -25,9 +29,9 @@ let run_workload ~sink ~seed () =
             for i = 0 to 1 do
               ignore
                 (Popcorn.Api.spawn th ~target:(i mod 2) (fun worker ->
-                     Popcorn.Api.compute worker (Sim.Time.us 20);
+                     Popcorn.Api.compute worker (Sim.Time.us compute_us);
                      ignore (Popcorn.Api.migrate worker ~dst:((i + 1) mod 2));
-                     Popcorn.Api.compute worker (Sim.Time.us 20);
+                     Popcorn.Api.compute worker (Sim.Time.us compute_us);
                      Workloads.Latch.arrive latch))
             done;
             Workloads.Latch.wait latch)
@@ -103,9 +107,7 @@ let test_causal_deterministic () =
     let sink = Obs.Sink.create () in
     ignore (run_workload ~sink ~seed:7 ());
     ( Obs.Json.to_string (Obs.Causal.to_json sink.Obs.Sink.causal),
-      Obs.Json.to_string
-        (Obs.Critpath.ispans_to_json
-           (Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans)) )
+      Obs.Json.to_string (spans_json sink) )
   in
   let c1, s1 = once () in
   let c2, s2 = once () in
@@ -126,7 +128,16 @@ let test_causal_json_roundtrip () =
 (* --- critical path of a hand-built 3-kernel migration --- *)
 
 let ispan ?parent ?tid ~sid ~kind ~kernel ~start ~stop () =
-  { Obs.Critpath.sid; parent; kind; kernel; tid; run = 0; start; stop }
+  {
+    Obs.Span.id = sid;
+    parent;
+    kind = Obs.Span.kind_of_name kind;
+    kernel;
+    tid;
+    run = 0;
+    start;
+    stop;
+  }
 
 let test_critical_path_known_chain () =
   (* Migration k0 -> k2 with a forwarding hop on k1 (three kernels on the
@@ -196,7 +207,7 @@ let test_critical_path_of_real_run () =
      window exactly (the sum-exact acceptance property). *)
   let sink = Obs.Sink.create () in
   ignore (run_workload ~sink ~seed:42 ());
-  let spans = Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans in
+  let spans = Obs.Span.spans sink.Obs.Sink.spans in
   let causal = Obs.Causal.events sink.Obs.Sink.causal in
   let ix = Obs.Critpath.build ~spans ~causal in
   let roots = Obs.Critpath.roots ix ~kind:"migration" in
@@ -239,12 +250,12 @@ let random_run st ~run =
     let stop = if int 8 = 0 then -1 else start + len in
     let kernel = int 4 in
     spans :=
-      { Obs.Critpath.sid; parent; kind; kernel; tid = None; run; start; stop }
+      { Obs.Span.id = sid; parent; kind; kernel; tid = None; run; start; stop }
       :: !spans;
     if depth < 3 then begin
       for _ = 1 to int 3 do
         span ~parent:sid
-          ~kind:(if int 2 = 0 then "transfer" else "page_fault")
+          ~kind:(if int 2 = 0 then Obs.Span.Transfer else Obs.Span.Page_fault)
           ~start:(start + int len) ~depth:(depth + 1) ()
       done;
       for _ = 1 to int 3 do
@@ -266,14 +277,16 @@ let random_run st ~run =
             if int 2 = 0 then begin
               causal :=
                 Obs.Causal.Link { id; run; span = !next_sid } :: !causal;
-              span ~kind:"import" ~start:d_at ~depth:(depth + 1) ()
+              span ~kind:Obs.Span.Import ~start:d_at ~depth:(depth + 1) ()
             end
       done
     end
   in
   for _ = 0 to int 4 do
     span
-      ~kind:(if int 2 = 0 then "migration" else "thread_group_create")
+      ~kind:
+        (if int 2 = 0 then Obs.Span.Migration
+         else Obs.Span.Thread_group_create)
       ~start:(int 5000) ~depth:0 ()
   done;
   (List.rev !spans, List.rev !causal)
@@ -294,8 +307,8 @@ let prop_shared_index =
       let runs, spans, causal = random_dataset seed in
       let shared = Obs.Critpath.build ~spans ~causal in
       List.for_all
-        (fun (root : Obs.Critpath.ispan) ->
-          let run_spans, run_causal = List.nth runs root.Obs.Critpath.run in
+        (fun (root : Obs.Span.span) ->
+          let run_spans, run_causal = List.nth runs root.Obs.Span.run in
           let alone = Obs.Critpath.build ~spans:run_spans ~causal:run_causal in
           let p = Obs.Critpath.critical_path shared ~root in
           let sum =
@@ -305,7 +318,7 @@ let prop_shared_index =
               0 p.Obs.Critpath.segs
           in
           let rec tiles at = function
-            | [] -> at = root.Obs.Critpath.start + p.Obs.Critpath.total_ns
+            | [] -> at = root.Obs.Span.start + p.Obs.Critpath.total_ns
             | (s : Obs.Critpath.seg) :: rest ->
                 s.Obs.Critpath.seg_start = at
                 && s.Obs.Critpath.seg_stop > at
@@ -313,11 +326,9 @@ let prop_shared_index =
           in
           p = Obs.Critpath.critical_path alone ~root
           && sum = p.Obs.Critpath.total_ns
-          && tiles root.Obs.Critpath.start p.Obs.Critpath.segs
+          && tiles root.Obs.Span.start p.Obs.Critpath.segs
           && p.Obs.Critpath.total_ns = Obs.Critpath.duration shared root)
-        (List.filter
-           (fun (s : Obs.Critpath.ispan) -> s.Obs.Critpath.parent = None)
-           spans))
+        (List.filter (fun (s : Obs.Span.span) -> s.Obs.Span.parent = None) spans))
 
 (* The SLO summary ranks roots by Critpath.duration and computes one path
    per kind; analyze prints that path via Slo.worst_path. Both must agree
@@ -443,9 +454,7 @@ let test_analyze_real_doc () =
               Obs.Json.Obj
                 [
                   ("id", Obs.Json.Str "W");
-                  ( "spans",
-                    Obs.Critpath.ispans_to_json
-                      (Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans) );
+                  ("spans", spans_json sink);
                   ("causal", Obs.Causal.to_json sink.Obs.Sink.causal);
                 ];
             ] );
@@ -620,27 +629,83 @@ let test_trace_retained_o1 () =
   Sim.Trace.emit tr ~at:1 ~cat:"c" "e";
   Alcotest.(check int) "counts again after clear" 1 (Sim.Trace.count tr)
 
-(* --- unclosed spans clamp at export --- *)
+(* --- unclosed spans clamp in analysis, not at export --- *)
 
 let test_export_clamps_unclosed () =
-  let rec_ = Obs.Span.create () in
+  let sink = Obs.Sink.create () in
+  let rec_ = sink.Obs.Sink.spans in
   Obs.Span.new_run rec_;
   let open_span = Obs.Span.start rec_ ~kernel:0 ~at:100 Obs.Span.Migration in
   let closed = Obs.Span.start rec_ ~kernel:1 ~at:200 Obs.Span.Import in
   Obs.Span.finish closed ~at:800;
   ignore open_span;
-  let doc = Obs.Export.chrome_trace ~spans:[ rec_ ] () in
+  let doc = Obs.Export.chrome_trace [ sink ] in
   match Obs.Report.datasets_of_doc doc with
   | [ d ] -> (
       match
         List.find_opt
-          (fun (s : Obs.Critpath.ispan) -> s.Obs.Critpath.kind = "migration")
+          (fun (s : Obs.Span.span) -> s.Obs.Span.kind = Obs.Span.Migration)
           d.Obs.Report.spans
       with
       | Some s ->
-          Alcotest.(check int) "clamped to end of run" 800 s.Obs.Critpath.stop
+          Alcotest.(check int) "still open in the trace" (-1) s.Obs.Span.stop;
+          let ix =
+            Obs.Critpath.build ~spans:d.Obs.Report.spans
+              ~causal:d.Obs.Report.causal
+          in
+          Alcotest.(check int) "clamped to end of run" 700
+            (Obs.Critpath.duration ix s)
       | None -> Alcotest.fail "migration span missing from export")
   | ds -> Alcotest.failf "expected one dataset, got %d" (List.length ds)
+
+(* --- one Chrome trace of several sinks analyzes like the sinks --- *)
+
+(* Two sinks, each one boot (run 0) with span and message ids from 0, so
+   their keys collide unless the export gives each its own run range. *)
+let test_merged_trace () =
+  let record compute_us =
+    let sink = Obs.Sink.create () in
+    ignore (run_workload ~compute_us ~sink ~seed:42 ());
+    sink
+  in
+  let sinks = [ record 20; record 35 ] in
+  let index (spans, causal) = Obs.Critpath.build ~spans ~causal in
+  let own =
+    List.map
+      (fun (s : Obs.Sink.t) ->
+        index
+          (Obs.Span.spans s.Obs.Sink.spans, Obs.Causal.events s.Obs.Sink.causal))
+      sinks
+  in
+  let merged =
+    match Obs.Report.datasets_of_doc (Obs.Export.chrome_trace sinks) with
+    | [ d ] -> index (d.Obs.Report.spans, d.Obs.Report.causal)
+    | ds -> Alcotest.failf "expected one dataset, got %d" (List.length ds)
+  in
+  let summed =
+    List.concat_map Obs.Critpath.self_times own
+    |> List.fold_left
+         (fun acc (name, ns) ->
+           let prev = Option.value (List.assoc_opt name acc) ~default:0 in
+           (name, prev + ns) :: List.remove_assoc name acc)
+         []
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string int)))
+    "self time is the sum over sinks" summed
+    (List.sort compare (Obs.Critpath.self_times merged));
+  let paths ix =
+    List.map
+      (fun root ->
+        let p = Obs.Critpath.critical_path ix ~root in
+        (p.Obs.Critpath.total_ns, p.Obs.Critpath.segs))
+      (Obs.Critpath.roots ix ~kind:"migration")
+  in
+  let merged_paths = paths merged in
+  Alcotest.(check int) "every root survives the merge" 4
+    (List.length merged_paths);
+  Alcotest.(check bool) "each root's path is its own sink's" true
+    (merged_paths = List.concat_map paths own)
 
 let () =
   Alcotest.run "causal"
@@ -688,5 +753,7 @@ let () =
           Alcotest.test_case "trace retained O(1)" `Quick test_trace_retained_o1;
           Alcotest.test_case "export clamps unclosed spans" `Quick
             test_export_clamps_unclosed;
+          Alcotest.test_case "merged trace analyzes like its sinks" `Quick
+            test_merged_trace;
         ] );
     ]

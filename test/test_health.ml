@@ -1,5 +1,5 @@
-(* Tests for health-aware placement: the Health state machine, the
-   Placement policies and dispatcher (admission control, retry-on-other-
+(* Tests for health-aware placement: the Health state machine,
+   Placement.choose and the dispatcher (admission control, retry-on-other-
    kernel), the Balancer's health integration and stale-hint expiry, and
    the R2 acceptance criteria (proportional degradation under a kernel
    crash — asserted, not just printed). *)
@@ -121,34 +121,19 @@ let test_stop_quiesces () =
   Engine.run eng;
   Alcotest.check state "still drained after stop" H.Drained (H.state h 0)
 
-(* --- Placement policies -------------------------------------------------- *)
+(* --- Placement choice ---------------------------------------------------- *)
 
-let topo = Hw.Topology.create ~sockets:2 ~cores_per_socket:4
-
-let cand ck ~core ~load ~weight =
-  { Pl.ck; ck_core = core; ck_load = load; ck_weight = weight }
+let cand ck ~load ~weight = { Pl.ck; ck_load = load; ck_weight = weight }
 
 let test_weighted_least_loaded () =
-  let choose cs = Pl.Weighted_least_loaded.choose ~topo ~src_core:0 ~candidates:cs in
-  Alcotest.(check (option int)) "empty -> none" None (choose []);
+  Alcotest.(check (option int)) "empty -> none" None (Pl.choose []);
   Alcotest.(check (option int))
     "weight normalises load: 3/4 of capacity beats 1/1"
     (Some 1)
-    (choose [ cand 1 ~core:0 ~load:3 ~weight:4; cand 2 ~core:4 ~load:1 ~weight:1 ]);
+    (Pl.choose [ cand 1 ~load:3 ~weight:4; cand 2 ~load:1 ~weight:1 ]);
   Alcotest.(check (option int))
     "ties break to the lowest kernel id" (Some 1)
-    (choose [ cand 3 ~core:4 ~load:1 ~weight:1; cand 1 ~core:0 ~load:1 ~weight:1 ])
-
-let test_numa_aware () =
-  let choose cs = Pl.Numa_aware.choose ~topo ~src_core:0 ~candidates:cs in
-  (* Equal load: stay on the requester's socket. *)
-  Alcotest.(check (option int))
-    "equal load prefers same socket" (Some 1)
-    (choose [ cand 1 ~core:1 ~load:0 ~weight:1; cand 2 ~core:4 ~load:0 ~weight:1 ]);
-  (* Enough imbalance pays for the socket crossing. *)
-  Alcotest.(check (option int))
-    "imbalance pays for the crossing" (Some 2)
-    (choose [ cand 1 ~core:1 ~load:2 ~weight:1; cand 2 ~core:4 ~load:0 ~weight:1 ])
+    (Pl.choose [ cand 3 ~load:1 ~weight:1; cand 1 ~load:1 ~weight:1 ])
 
 (* --- Placement dispatcher ------------------------------------------------ *)
 
@@ -415,7 +400,6 @@ let () =
         [
           Alcotest.test_case "weighted least loaded" `Quick
             test_weighted_least_loaded;
-          Alcotest.test_case "numa aware" `Quick test_numa_aware;
         ] );
       ( "dispatcher",
         [

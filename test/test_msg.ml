@@ -69,6 +69,25 @@ let test_transport_backpressure () =
   Alcotest.(check int) "all eventually delivered" 50 !handled;
   Alcotest.(check int) "all sent" 50 !sent
 
+let test_unknown_node_raises () =
+  (* Both ends of a send must be nodes of the transport. *)
+  let m = mk_machine () in
+  let eng = m.Hw.Machine.eng in
+  let fabric =
+    Msg.Transport.create m ~ring_slots:4 ~handler:(fun _t ~dst:_ ~src:_ _ _ ->
+        ())
+  in
+  Msg.Transport.add_node fabric 0 ~home_core:0;
+  Engine.spawn eng (fun () ->
+      Alcotest.check_raises "unknown dst"
+        (Invalid_argument "Transport: unknown node 1") (fun () ->
+          Msg.Transport.send fabric ~src:0 ~dst:1 ~bytes:64 (Ping 0));
+      Alcotest.check_raises "unknown src"
+        (Invalid_argument "Transport: unknown node 1") (fun () ->
+          Msg.Transport.send_from_core fabric ~src:1 ~src_core:4 ~dst:0
+            ~bytes:64 (Ping 0)));
+  Engine.run eng
+
 let test_rpc_roundtrip () =
   let m = mk_machine () in
   let eng = m.Hw.Machine.eng in
@@ -258,6 +277,8 @@ let () =
           Alcotest.test_case "latency includes doorbell" `Quick
             test_transport_latency_positive;
           Alcotest.test_case "backpressure" `Quick test_transport_backpressure;
+          Alcotest.test_case "unknown node raises" `Quick
+            test_unknown_node_raises;
         ] );
       ( "rpc",
         [

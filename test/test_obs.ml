@@ -235,7 +235,7 @@ let test_metrics_deterministic_across_runs () =
 let test_chrome_trace_export () =
   let sink = Obs.Sink.create () in
   ignore (run_workload ~sink ~seed:42 ());
-  match Obs.Sink.chrome_trace sink with
+  match Obs.Export.chrome_trace [ sink ] with
   | Obs.Json.Obj fields ->
       Alcotest.(check (option string)) "displayTimeUnit"
         (Some "ns")

@@ -135,51 +135,6 @@ let test_mutex_fifo () =
   Engine.run eng;
   Alcotest.(check (list int)) "fifo handoff" [ 1; 2; 3; 4; 5 ] (List.rev !order)
 
-let test_cond_signal_broadcast () =
-  let eng = Engine.create () in
-  let m = Mutex.create eng in
-  let c = Cond.create eng in
-  let woken = ref 0 in
-  for _ = 1 to 4 do
-    Engine.spawn eng (fun () ->
-        Mutex.lock m;
-        Cond.wait c m;
-        incr woken;
-        Mutex.unlock m)
-  done;
-  Engine.schedule eng ~after:10 (fun () -> Cond.signal c);
-  Engine.schedule eng ~after:20 (fun () -> ignore (Cond.broadcast c));
-  Engine.run eng;
-  Alcotest.(check int) "all woken" 4 !woken
-
-let test_cond_wait_timeout () =
-  let eng = Engine.create () in
-  let m = Mutex.create eng in
-  let c = Cond.create eng in
-  let result = ref `Signalled in
-  Engine.spawn eng (fun () ->
-      Mutex.lock m;
-      result := Cond.wait_timeout c m ~timeout:(Time.us 10);
-      Mutex.unlock m);
-  Engine.run eng;
-  Alcotest.(check bool) "timed out" true (!result = `Timed_out)
-
-let test_semaphore () =
-  let eng = Engine.create () in
-  let s = Semaphore.create eng 2 in
-  let inside = ref 0 and max_inside = ref 0 in
-  for _ = 1 to 6 do
-    Engine.spawn eng (fun () ->
-        Semaphore.acquire s;
-        incr inside;
-        max_inside := max !max_inside !inside;
-        Engine.sleep eng (Time.us 5);
-        decr inside;
-        Semaphore.release s)
-  done;
-  Engine.run eng;
-  Alcotest.(check int) "at most 2" 2 !max_inside
-
 let test_channel_fifo () =
   let eng = Engine.create () in
   let ch = Channel.create eng ~capacity:4 in
@@ -715,10 +670,6 @@ let () =
         [
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
           Alcotest.test_case "mutex fifo" `Quick test_mutex_fifo;
-          Alcotest.test_case "cond signal/broadcast" `Quick
-            test_cond_signal_broadcast;
-          Alcotest.test_case "cond timeout" `Quick test_cond_wait_timeout;
-          Alcotest.test_case "semaphore" `Quick test_semaphore;
           Alcotest.test_case "waitq cancel" `Quick test_waitq_cancel;
         ] );
       ( "barrier",

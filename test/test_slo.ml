@@ -12,9 +12,9 @@ let contains ~sub s =
 
 let mig ~sid ~start ~stop =
   {
-    Obs.Critpath.sid;
+    Obs.Span.id = sid;
     parent = None;
-    kind = "migration";
+    kind = Obs.Span.Migration;
     kernel = 0;
     tid = Some 1;
     run = 0;
@@ -229,8 +229,9 @@ let test_analyze_shows_slo_block () =
                   ("id", Obs.Json.Str "W");
                   ("metrics", Obs.Metrics.to_json sink.Obs.Sink.metrics);
                   ( "spans",
-                    Obs.Critpath.ispans_to_json
-                      (Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans) );
+                    Obs.Json.Arr
+                      (List.map Obs.Span.to_json
+                         (Obs.Span.spans sink.Obs.Sink.spans)) );
                   ("causal", Obs.Causal.to_json sink.Obs.Sink.causal);
                 ];
             ] );

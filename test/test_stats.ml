@@ -1,28 +1,5 @@
 (* Tests for the measurement library. *)
 
-let test_summary () =
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4.; 5. ];
-  Alcotest.(check int) "count" 5 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 3. (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 5. (Stats.Summary.max s);
-  Alcotest.(check (float 1e-9)) "total" 15. (Stats.Summary.total s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Stats.Summary.stddev s)
-
-let test_summary_merge () =
-  let a = Stats.Summary.create () and b = Stats.Summary.create () in
-  List.iter (Stats.Summary.add a) [ 1.; 2.; 3. ];
-  List.iter (Stats.Summary.add b) [ 4.; 5. ];
-  let m = Stats.Summary.merge a b in
-  let whole = Stats.Summary.create () in
-  List.iter (Stats.Summary.add whole) [ 1.; 2.; 3.; 4.; 5. ];
-  Alcotest.(check int) "count" 5 (Stats.Summary.count m);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.Summary.mean whole)
-    (Stats.Summary.mean m);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.Summary.variance whole)
-    (Stats.Summary.variance m)
-
 let test_histogram_percentiles () =
   let h = Stats.Histogram.create () in
   for i = 1 to 1000 do
@@ -75,42 +52,6 @@ let test_histogram_max_tracks_largest () =
   Alcotest.(check (float 1e-9)) "zero observation kept" 100.
     (Stats.Histogram.max h);
   Alcotest.(check int) "count includes zero" 5 (Stats.Histogram.count h)
-
-let test_summary_empty () =
-  let s = Stats.Summary.create () in
-  Alcotest.(check int) "count" 0 (Stats.Summary.count s);
-  Alcotest.(check (float 0.)) "mean defined" 0. (Stats.Summary.mean s);
-  Alcotest.(check (float 0.)) "stddev defined" 0. (Stats.Summary.stddev s);
-  Alcotest.(check (float 0.)) "total" 0. (Stats.Summary.total s);
-  (* Merging with an empty summary is the identity. *)
-  let b = Stats.Summary.create () in
-  List.iter (Stats.Summary.add b) [ 1.; 2. ];
-  let m = Stats.Summary.merge s b in
-  Alcotest.(check int) "merge count" 2 (Stats.Summary.count m);
-  Alcotest.(check (float 1e-9)) "merge mean" 1.5 (Stats.Summary.mean m);
-  let m' = Stats.Summary.merge b s in
-  Alcotest.(check (float 1e-9)) "merge symmetric" (Stats.Summary.mean m)
-    (Stats.Summary.mean m')
-
-let test_breakdown_single () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "only" 7.;
-  Alcotest.(check (float 1e-9)) "get" 7. (Stats.Breakdown.get b "only");
-  Alcotest.(check (float 1e-9)) "total" 7. (Stats.Breakdown.total b);
-  Alcotest.(check (list string)) "one component" [ "only" ]
-    (List.map fst (Stats.Breakdown.components b));
-  Alcotest.(check (float 1e-9)) "absent component" 0.
-    (Stats.Breakdown.get b "missing")
-
-let test_breakdown () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "save" 10.;
-  Stats.Breakdown.add b "send" 30.;
-  Stats.Breakdown.add b "save" 5.;
-  Alcotest.(check (float 1e-9)) "accumulates" 15. (Stats.Breakdown.get b "save");
-  Alcotest.(check (float 1e-9)) "total" 45. (Stats.Breakdown.total b);
-  Alcotest.(check (list string)) "insertion order" [ "save"; "send" ]
-    (List.map fst (Stats.Breakdown.components b))
 
 let test_table_render () =
   let t = Stats.Table.create ~title:"demo" ~columns:[ "a"; "bb" ] in
@@ -174,15 +115,6 @@ let test_timeseries_span () =
   Stats.Timeseries.add_span ts ~from_ns:300 ~until_ns:300;
   Alcotest.(check (float 1e-9)) "unchanged" 200. (Stats.Timeseries.total ts)
 
-let prop_summary_mean_in_range =
-  QCheck.Test.make ~name:"summary mean within min/max" ~count:300
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_bound_exclusive 1000.))
-    (fun xs ->
-      let s = Stats.Summary.create () in
-      List.iter (Stats.Summary.add s) xs;
-      Stats.Summary.mean s >= Stats.Summary.min s -. 1e-9
-      && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9)
-
 let prop_histogram_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentiles monotone" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 100) (float_bound_exclusive 1e6))
@@ -200,12 +132,6 @@ let prop_histogram_percentile_monotone =
 let () =
   Alcotest.run "stats"
     [
-      ( "summary",
-        [
-          Alcotest.test_case "basics" `Quick test_summary;
-          Alcotest.test_case "merge" `Quick test_summary_merge;
-          Alcotest.test_case "empty" `Quick test_summary_empty;
-        ] );
       ( "histogram",
         [
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
@@ -213,11 +139,6 @@ let () =
           Alcotest.test_case "single sample" `Quick test_histogram_single_sample;
           Alcotest.test_case "max tracks largest" `Quick
             test_histogram_max_tracks_largest;
-        ] );
-      ( "breakdown",
-        [
-          Alcotest.test_case "accumulate + order" `Quick test_breakdown;
-          Alcotest.test_case "single bucket" `Quick test_breakdown_single;
         ] );
       ( "table",
         [
@@ -232,5 +153,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_summary_mean_in_range; prop_histogram_percentile_monotone ] );
+          [ prop_histogram_percentile_monotone ] );
     ]
