@@ -168,6 +168,7 @@ let run_cmd =
           Experiments.Registry.run_one ~quick ~observe ~seed ~coherence e
         in
         print_string o.Experiments.Registry.output;
+        print_string (Experiments.Registry.host_line o);
         flush stdout;
         export ~quick [ o ] json trace baseline;
         `Ok ()
@@ -188,10 +189,12 @@ let all_cmd =
       Experiments.Registry.run_all ~quick ~observe ~seed ~coherence ?jobs ()
     in
     List.iter
-      (fun (o : Experiments.Registry.outcome) -> print_string o.output)
+      (fun (o : Experiments.Registry.outcome) ->
+        print_string o.output;
+        print_string (Experiments.Registry.host_line o))
       outcomes;
     print_newline ();
-    print_endline (Experiments.Registry.render_suite_total outcomes);
+    print_endline (Experiments.Registry.suite_total_line outcomes);
     flush stdout;
     export ~quick outcomes json trace baseline
   in
@@ -287,10 +290,8 @@ let metrics_demo_cmd =
         Popcorn.Cluster.boot machine ~kernels ~cores_per_kernel:(16 / kernels)
       in
       let sink = Obs.Sink.create () in
-      Hw.Machine.attach_obs machine ~metrics:sink.Obs.Sink.metrics
-        ~spans:sink.Obs.Sink.spans ~causal:sink.Obs.Sink.causal ();
-      Popcorn.Cluster.observe ~metrics:sink.Obs.Sink.metrics
-        ~tracer:sink.Obs.Sink.trace cluster;
+      Hw.Machine.attach_obs machine sink;
+      Popcorn.Cluster.observe cluster sink;
       let eng = machine.Hw.Machine.eng in
       Sim.Engine.spawn eng (fun () ->
           let proc =
@@ -430,6 +431,7 @@ let profile_cmd =
               e
           in
           print_string o.Experiments.Registry.output;
+          print_string (Experiments.Registry.host_line o);
           print_newline ();
           let p =
             match o.Experiments.Registry.prof with

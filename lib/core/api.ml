@@ -52,6 +52,20 @@ let unschedule th =
       th.task.K.Task.core <- None
   | None -> ()
 
+(* Run [body th] on a fiber of its own: scheduled in, paying the
+   dispatch-in cost before user code runs; on return (or once killed)
+   unscheduled and exited, unless exit_group/kill already tore it down. *)
+let launch th ~name body =
+  Sim.Engine.spawn (eng th.cluster) ~tag:"popcorn" ~name (fun () ->
+      schedule_in th;
+      Proto_util.kernel_work th.cluster
+        (params th.cluster).Hw.Params.context_switch;
+      (try body th with Killed -> ());
+      let kernel_at_exit = current_kernel th in
+      unschedule th;
+      if K.Task.is_live th.task then
+        Thread_group.exit_thread th.cluster kernel_at_exit th.task)
+
 (** Migrate this thread to kernel [dst]; returns the migration cost
     breakdown. On return the thread is running on [dst]. [deadline] is an
     optional end-to-end budget (simulated ns) accounted by the SLO layer. *)
@@ -90,20 +104,10 @@ let spawn th ?target body : K.Ids.tid =
     | Some t -> t
     | None -> invalid_arg "spawn: created task vanished"
   in
-  let child = { cluster = th.cluster; proc = th.proc; task = new_task } in
-  Sim.Engine.spawn (eng th.cluster) ~tag:"popcorn"
+  launch
+    { cluster = th.cluster; proc = th.proc; task = new_task }
     ~name:(Printf.sprintf "thread-%d" new_tid)
-    (fun () ->
-      schedule_in child;
-      (* Pay the dispatch-in cost before user code runs. *)
-      Proto_util.kernel_work th.cluster
-        (params th.cluster).Hw.Params.context_switch;
-      (try body child with Killed -> ());
-      let kernel_at_exit = current_kernel child in
-      unschedule child;
-      (* A killed task was already torn down by exit_group/kill. *)
-      if K.Task.is_live child.task then
-        Thread_group.exit_thread child.cluster kernel_at_exit child.task);
+    body;
   new_tid
 
 (* --- memory --- *)
@@ -221,18 +225,9 @@ let close_file th ~fd =
     [origin]. Must be called from inside the simulation (a fiber). *)
 let start_process cluster ~origin main : process =
   let proc, task = Cluster.create_process cluster ~origin_kernel:origin in
-  let th = { cluster; proc; task } in
-  Sim.Engine.spawn (eng cluster) ~tag:"popcorn"
+  launch { cluster; proc; task }
     ~name:(Printf.sprintf "proc-%d-main" proc.pid)
-    (fun () ->
-      schedule_in th;
-      Proto_util.kernel_work cluster
-        (params cluster).Hw.Params.context_switch;
-      (try main th with Killed -> ());
-      let kernel_at_exit = current_kernel th in
-      unschedule th;
-      if K.Task.is_live th.task then
-        Thread_group.exit_thread cluster kernel_at_exit th.task);
+    main;
   proc
 
 (** Terminate every thread of this group, on every kernel (exit_group).
@@ -261,18 +256,10 @@ let fork th main : process =
   let child, task =
     Fork.fork th.cluster kernel ~core:(current_core th) ~pid:th.proc.pid
   in
-  let cth = { cluster = th.cluster; proc = child; task } in
-  Sim.Engine.spawn (eng th.cluster) ~tag:"popcorn"
+  launch
+    { cluster = th.cluster; proc = child; task }
     ~name:(Printf.sprintf "proc-%d-main" child.pid)
-    (fun () ->
-      schedule_in cth;
-      Proto_util.kernel_work th.cluster
-        (params th.cluster).Hw.Params.context_switch;
-      (try main cth with Killed -> ());
-      let kernel_at_exit = current_kernel cth in
-      unschedule cth;
-      if K.Task.is_live cth.task then
-        Thread_group.exit_thread cth.cluster kernel_at_exit cth.task);
+    main;
   child
 
 (** Park until every thread of [proc] has exited. *)

@@ -168,24 +168,18 @@ let boot ?(opts = default_options) (machine : Hw.Machine.t) ~kernels
 
 (** Start collecting protocol events ([Types.trace] becomes live); returns
     the trace for inspection or [Sim.Trace.pp]. *)
-let enable_tracing ?capacity cluster =
-  let tr = Sim.Trace.create ?capacity () in
+let enable_tracing cluster =
+  let tr = Sim.Trace.create () in
   cluster.tracer <- Some tr;
   tr
 
-(** Attach an observability sink to the whole cluster: the metrics registry
-    and span recorder go to the machine (the messaging layer and the OS
-    models consult them), the trace ring becomes the protocol tracer, and
-    every kernel's RPC table gets its rpc.* counters routed. *)
-let observe ?metrics ?spans ?causal ?tracer cluster =
-  Hw.Machine.attach_obs cluster.machine ?metrics ?spans ?causal ();
-  (match tracer with Some _ -> cluster.tracer <- tracer | None -> ());
-  match metrics with
-  | None -> ()
-  | Some reg ->
-      Array.iter
-        (fun k -> Msg.Rpc.set_metrics k.rpc reg ~kernel:k.kid)
-        cluster.kernels
+(** The sink's trace ring becomes the protocol tracer, and every kernel's
+    RPC table gets its rpc.* counters routed to the sink's registry. *)
+let observe cluster (sink : Obs.Sink.t) =
+  cluster.tracer <- Some sink.trace;
+  Array.iter
+    (fun k -> Msg.Rpc.set_metrics k.rpc sink.metrics ~kernel:k.kid)
+    cluster.kernels
 
 (** Create a fresh single-threaded process on [origin_kernel] with an
     initial layout (code+stack+heap), returning (process, initial task). *)

@@ -22,23 +22,16 @@ val boot :
     [cores_per_kernel] cores, each with its own scheduler, id-space slice,
     mm lock, futex table and message endpoint. *)
 
-val enable_tracing : ?capacity:int -> cluster -> Sim.Trace.t
+val enable_tracing : cluster -> Sim.Trace.t
 (** Start collecting protocol events (migrations, faults, mm ops...);
     returns the trace for inspection or [Sim.Trace.pp]. *)
 
-val observe :
-  ?metrics:Obs.Metrics.t ->
-  ?spans:Obs.Span.t ->
-  ?causal:Obs.Causal.t ->
-  ?tracer:Sim.Trace.t ->
-  cluster ->
-  unit
-(** Attach observability: [metrics], [spans] and [causal] go to the machine
-    (and [metrics] additionally to every kernel's RPC table for rpc.*
-    counters); [tracer] becomes the protocol-event tracer. Typically called
-    right after {!boot} with the pieces of an [Obs.Sink.t]. With nothing
-    attached the instrumentation is free and simulated results are
-    bit-identical. *)
+val observe : cluster -> Obs.Sink.t -> unit
+(** Route the cluster-level pieces of a sink: its trace ring becomes the
+    protocol-event tracer and its metrics registry gets every kernel's
+    rpc.* counters. Called right after {!boot}, on a machine the same sink
+    is attached to ({!Hw.Machine.attach_obs}). With nothing attached the
+    instrumentation is free and simulated results are bit-identical. *)
 
 val create_process :
   cluster -> origin_kernel:int -> process * Kernelmodel.Task.t

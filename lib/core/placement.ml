@@ -67,7 +67,6 @@ let create ?health ?retry ?high_water ~frontend cluster =
   }
 
 let inflight t = t.total
-let inflight_on t k = t.per_kernel.(k)
 
 (* A kernel on probation (readmitted by a probe, not yet proven) takes at
    most one request at a time: a just-recovered kernel gets trial traffic,

@@ -61,8 +61,6 @@ val create :
 val inflight : t -> int
 (** Cluster-wide requests currently dispatched and unanswered. *)
 
-val inflight_on : t -> int -> int
-
 val pick : t -> ?exclude:int list -> unit -> int option
 (** {!choose}'s current pick among available (healthy/suspect, not
     excluded) kernels. When health has drained {e every} kernel — a

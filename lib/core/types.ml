@@ -356,7 +356,7 @@ let trace cluster ~cat fmt =
         fmt
 
 (** Metric helpers: route to the machine's registry when one is attached
-    ([Cluster.observe]); free no-ops otherwise. *)
+    ([Hw.Machine.attach_obs]); free no-ops otherwise. *)
 let m_incr cluster ?kernel name = Hw.Machine.metric_incr cluster.machine ?kernel name
 let m_add cluster ?kernel name n = Hw.Machine.metric_add cluster.machine ?kernel name n
 

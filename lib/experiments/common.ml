@@ -20,11 +20,7 @@ let default_kernels = 16
 let machine (ctx : Run_ctx.t) ?seed () =
   let seed = Option.value seed ~default:ctx.Run_ctx.seed in
   let m = Hw.Machine.create ~seed ~sockets ~cores_per_socket () in
-  (match ctx.Run_ctx.sink with
-  | None -> ()
-  | Some s ->
-      Hw.Machine.attach_obs m ~metrics:s.Obs.Sink.metrics
-        ~spans:s.Obs.Sink.spans ~causal:s.Obs.Sink.causal ());
+  Option.iter (Hw.Machine.attach_obs m) ctx.Run_ctx.sink;
   (match ctx.Run_ctx.prof with
   | None -> ()
   | Some p -> Obs.Prof.attach p m.Hw.Machine.eng);
@@ -53,13 +49,9 @@ let run_popcorn (ctx : Run_ctx.t) ?seed ?opts ?(kernels = default_kernels) f :
     Popcorn.Cluster.boot ~opts m ~kernels
       ~cores_per_kernel:(total_cores / kernels)
   in
-  (match ctx.Run_ctx.sink with
-  | None -> ()
-  | Some s ->
-      (* The machine already has metrics+spans; route the cluster-level
-         pieces (tracer, per-kernel rpc counters) too. *)
-      Popcorn.Cluster.observe ~metrics:s.Obs.Sink.metrics
-        ~tracer:s.Obs.Sink.trace cluster);
+  (* The machine already has the sink; route the cluster-level pieces
+     (tracer, per-kernel rpc counters) too. *)
+  Option.iter (Popcorn.Cluster.observe cluster) ctx.Run_ctx.sink;
   let eng = m.Hw.Machine.eng in
   let elapsed = ref (-1) in
   Engine.spawn eng (fun () ->

@@ -87,16 +87,16 @@ let find id =
 
 (** Everything one experiment run produced: its tables, the host wall-clock
     of the experiment body alone (sink post-processing and rendering are
-    excluded), the total simulator events the body executed (with the
-    derived events/sec, the tracked engine-throughput metric — host time is
-    noisy, so both are informational: excluded from determinism digests and
-    from [diff] regression gating; the rate is [None] below timer
-    resolution), the observability sink and profiler that were live during
-    the run (when [observe] / [profile] were on), the worst-case & SLO
-    summary (when observed), and the fully rendered textual output. [run_one] never prints — callers
-    decide when to emit [output], which is what lets [run_all] overlap
-    experiment execution while still presenting results in registry
-    order. *)
+    excluded), the total simulator events the body executed, the
+    observability sink and profiler that were live during the run (when
+    [observe] / [profile] were on), the worst-case & SLO summary (when
+    observed), and the rendered textual output. [output] and
+    {!outcome_json} are functions of the run alone, so together they are
+    its identity: host time appears only in {!host_line} and
+    {!suite_total_line}, which the CLI prints beside them. [run_one] never
+    prints — callers decide when to emit [output], which is what lets
+    [run_all] overlap experiment execution while still presenting results
+    in registry order. *)
 type outcome = {
   spec : t;
   host_ms : float;
@@ -110,33 +110,26 @@ type outcome = {
 
 (* Below ~1 ms of host time the division is dominated by timer
    resolution — the "rate" would be noise, or a flat 0.0 when the clock
-   never ticked, which reads as "infinitely slow". Report absence
-   instead; callers render it as "n/a". *)
-let min_rate_host_ms = 1.0
-
-let events_per_sec ~events ~host_ms =
-  if host_ms >= min_rate_host_ms then
-    Some (float_of_int events /. (host_ms /. 1e3))
-  else None
-
+   never ticked, which reads as "infinitely slow". Print "n/a" instead. *)
 let render_mev_s ~events ~host_ms =
-  match events_per_sec ~events ~host_ms with
-  | Some r -> Printf.sprintf "%.2f Mev/s" (r /. 1e6)
-  | None -> "n/a Mev/s"
+  if host_ms >= 1.0 then
+    Printf.sprintf "%.2f Mev/s" (float_of_int events /. host_ms /. 1e3)
+  else "n/a Mev/s"
 
-(** Suite-level engine throughput: total events over total host time,
-    across a list of outcomes. This is the headline number the CLI `all`
-    command prints and the microbench/PRs quote — a single aggregate is
-    far less noisy than per-experiment rates (several experiments finish
-    under a millisecond in --quick). Host-time-derived, so informational
-    only: never part of determinism digests or diff gating. *)
-let suite_totals (outcomes : outcome list) =
-  List.fold_left
-    (fun (ms, ev) o -> (ms +. o.host_ms, ev + o.events_processed))
-    (0., 0) outcomes
+let host_line (o : outcome) =
+  Printf.sprintf "(%s: %.0f ms host time, %d events, %s)\n" o.spec.id
+    o.host_ms o.events_processed
+    (render_mev_s ~events:o.events_processed ~host_ms:o.host_ms)
 
-let render_suite_total (outcomes : outcome list) =
-  let host_ms, events = suite_totals outcomes in
+(** Suite-level engine throughput: total events over total host time. A
+    single aggregate is far less noisy than per-experiment rates (several
+    experiments finish under a millisecond in --quick). *)
+let suite_total_line (outcomes : outcome list) =
+  let host_ms, events =
+    List.fold_left
+      (fun (ms, ev) o -> (ms +. o.host_ms, ev + o.events_processed))
+      (0., 0) outcomes
+  in
   Printf.sprintf "== suite total: %.0f ms host time, %d events, %s ==" host_ms
     events
     (render_mev_s ~events ~host_ms)
@@ -194,9 +187,6 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
       Buffer.add_string b (Stats.Table.render t);
       Buffer.add_char b '\n')
     tables;
-  Printf.bprintf b "(%s: %.0f ms host time, %d events, %s)\n" e.id host_ms
-    events_processed
-    (render_mev_s ~events:events_processed ~host_ms);
   {
     spec = e;
     host_ms;
@@ -269,16 +259,7 @@ let outcome_json ?(metrics_only = false) (o : outcome) =
     ([
        ("id", Obs.Json.Str o.spec.id);
        ("title", Obs.Json.Str o.spec.title);
-       ("host_ms", Obs.Json.Float o.host_ms);
-       (* Informational throughput fields: host-time-derived, so noisy run
-          to run. `popcornsim diff` reads only "metrics" and ignores
-          these. *)
        ("events_processed", Obs.Json.Int o.events_processed);
-       ( "events_per_sec",
-         (* Null (not 0.0) when host time is below timer resolution. *)
-         match events_per_sec ~events:o.events_processed ~host_ms:o.host_ms with
-         | Some r -> Obs.Json.Float r
-         | None -> Obs.Json.Null );
        ("tables", Obs.Json.Arr (List.map table_json o.tables));
      ]
     @ (match o.slo with
@@ -302,29 +283,14 @@ let outcome_json ?(metrics_only = false) (o : outcome) =
 
 (* v2 adds per-experiment "spans" and "causal" sections (when the run was
    observed) for `popcornsim analyze`; `popcornsim diff` accepts v1 too.
-   [metrics_only] drops those sections — `popcornsim diff` reads only
-   "metrics", and the result is small enough to commit as the CI
-   regression baseline. *)
+   [metrics_only] drops those sections; the result is small enough to
+   commit as a baseline (bench/baseline.json). *)
 let report_json ?(quick = false) ?(metrics_only = false)
     (outcomes : outcome list) =
   Obs.Json.Obj
-    ([ ("schema", Obs.Json.Str "popcornsim-bench-v2");
-       ("quick", Obs.Json.Bool quick) ]
-    @ (* Suite-level throughput header: informational (host-time-derived)
-         and therefore excluded from the [metrics_only] baseline documents
-         that `popcornsim diff` gates on. *)
-    (if metrics_only then []
-     else
-       let host_ms, events = suite_totals outcomes in
-       [
-         ("suite_host_ms", Obs.Json.Float host_ms);
-         ("suite_events_processed", Obs.Json.Int events);
-         ( "suite_events_per_sec",
-           match events_per_sec ~events ~host_ms with
-           | Some r -> Obs.Json.Float r
-           | None -> Obs.Json.Null );
-       ])
-    @ [
-        ( "experiments",
-          Obs.Json.Arr (List.map (outcome_json ~metrics_only) outcomes) );
-      ])
+    [
+      ("schema", Obs.Json.Str "popcornsim-bench-v2");
+      ("quick", Obs.Json.Bool quick);
+      ( "experiments",
+        Obs.Json.Arr (List.map (outcome_json ~metrics_only) outcomes) );
+    ]

@@ -9,7 +9,6 @@ type t = {
   mutable last_core : Topology.core;
   waiters : unit Waitq.t; (* pending ops, FIFO *)
   mutable ops : int;
-  mutable wait : Time.t;
 }
 
 let create eng params topo ~name =
@@ -22,7 +21,6 @@ let create eng params topo ~name =
     last_core = 0;
     waiters = Waitq.create ~eng ();
     ops = 0;
-    wait = Time.zero;
   }
 
 let transfer t ~core =
@@ -30,19 +28,12 @@ let transfer t ~core =
     ~same_socket:(Topology.same_socket t.topo t.last_core core)
 
 let access t ~core =
-  let t0 = Engine.now t.eng in
   if t.busy then Waitq.wait t.eng t.waiters else t.busy <- true;
   (* We now own the line's service slot; pay the transfer. *)
   Engine.sleep t.eng (transfer t ~core);
   t.last_core <- core;
   t.ops <- t.ops + 1;
-  t.wait <- Time.add t.wait (Time.sub (Engine.now t.eng) t0);
   (* Hand the slot to the next queued op, or free it. *)
   if not (Waitq.wake_one t.waiters ()) then t.busy <- false
 
 let ops t = t.ops
-let total_wait t = t.wait
-
-let reset_stats t =
-  t.ops <- 0;
-  t.wait <- Time.zero

@@ -19,5 +19,3 @@ val access : t -> core:Topology.core -> unit
     queueing time plus the line transfer from the previous owner. *)
 
 val ops : t -> int
-val total_wait : t -> Time.t
-val reset_stats : t -> unit

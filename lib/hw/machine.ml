@@ -19,18 +19,12 @@ let create ?seed ?(params = Params.default) ?(frames_per_socket = 65536)
   let ipi = Ipi.create eng params topo in
   { eng; params; topo; mem; ipi; metrics = None; spans = None; causal = None }
 
-let attach_obs t ?metrics ?spans ?causal () =
-  (match metrics with Some _ -> t.metrics <- metrics | None -> ());
-  (match causal with
-  | Some c ->
-      Obs.Causal.new_run c;
-      t.causal <- causal
-  | None -> ());
-  match spans with
-  | Some r ->
-      Obs.Span.new_run r;
-      t.spans <- spans
-  | None -> ()
+let attach_obs t (sink : Obs.Sink.t) =
+  t.metrics <- Some sink.metrics;
+  Obs.Causal.new_run sink.causal;
+  t.causal <- Some sink.causal;
+  Obs.Span.new_run sink.spans;
+  t.spans <- Some sink.spans
 
 (* Instrumentation helpers: single option check when observability is off,
    and never sleeping or touching the RNG, so simulated behaviour is

@@ -27,18 +27,12 @@ val create :
     [frames_per_socket] defaults to 65536 (256 MiB of 4 KiB pages per
     socket). *)
 
-val attach_obs :
-  t ->
-  ?metrics:Obs.Metrics.t ->
-  ?spans:Obs.Span.t ->
-  ?causal:Obs.Causal.t ->
-  unit ->
-  unit
-(** Attach observability to this machine. The messaging layer and OS models
-    consult [metrics]/[spans]/[causal] on their hot paths; with nothing
-    attached the cost is one [option] check and simulated results are
-    bit-identical. Attaching [spans] or [causal] also opens a new run in the
-    recorder so repeated boots export to distinct trace tracks. *)
+val attach_obs : t -> Obs.Sink.t -> unit
+(** Attach the sink's metrics registry, span recorder and causal log to
+    this machine. The messaging layer and OS models consult them on their
+    hot paths; with nothing attached the cost is one [option] check and
+    simulated results are bit-identical. Attaching also opens a new run in
+    both recorders so repeated boots export to distinct trace tracks. *)
 
 val metric_incr : t -> ?kernel:int -> string -> unit
 val metric_add : t -> ?kernel:int -> string -> int -> unit

@@ -84,4 +84,3 @@ let free t f =
   Stack.push f t.freed.(node_of_frame t f)
 
 let used_count t = t.used
-let free_count t = total_frames t - t.used

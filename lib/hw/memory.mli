@@ -24,5 +24,4 @@ val free : t -> frame -> unit
 
 val node_of_frame : t -> frame -> int
 
-val free_count : t -> int
 val used_count : t -> int

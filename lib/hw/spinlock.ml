@@ -80,17 +80,6 @@ let acquire t ~core =
       t.st_wait <- Time.add t.st_wait (Time.sub (Engine.now t.eng) t0);
       note_acquired t core
 
-let try_acquire t ~core =
-  match t.holder with
-  | Some _ -> false
-  | None ->
-      Engine.sleep t.eng (transfer_cost t ~from:t.last_holder ~core);
-      if t.holder = None then begin
-        note_acquired t core;
-        true
-      end
-      else false
-
 let release t =
   match t.holder with
   | None -> invalid_arg ("Spinlock.release (" ^ t.name ^ "): not held")
@@ -124,13 +113,6 @@ let stats t =
     total_hold = t.st_hold;
     max_waiters = t.st_max_waiters;
   }
-
-let reset_stats t =
-  t.st_acq <- 0;
-  t.st_contended <- 0;
-  t.st_wait <- Time.zero;
-  t.st_hold <- Time.zero;
-  t.st_max_waiters <- 0
 
 let with_lock t ~core f =
   acquire t ~core;

@@ -33,16 +33,11 @@ val acquire : t -> core:Topology.core -> unit
 (** Acquire from [core]; the calling fiber is delayed by the modelled
     uncontended transfer cost or by the full queueing delay. *)
 
-val try_acquire : t -> core:Topology.core -> bool
-(** Non-blocking attempt; on success the caller still pays the line-transfer
-    cost via a fiber sleep. *)
-
 val release : t -> unit
 (** Release; hands off to the oldest waiter, charging the handoff cost. *)
 
 val holder : t -> Topology.core option
 val waiters : t -> int
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val with_lock : t -> core:Topology.core -> (unit -> 'a) -> 'a

@@ -8,7 +8,6 @@ type t = {
   runq : unit Waitq.t;
   mutable occupied : bool;
   mutable busy : Time.t;
-  mutable switches : int;
   mutable assigned : int;
 }
 
@@ -22,7 +21,6 @@ let create eng params ~core ~quantum =
     runq = Waitq.create ~eng ();
     occupied = false;
     busy = Time.zero;
-    switches = 0;
     assigned = 0;
   }
 
@@ -33,7 +31,6 @@ let acquire t =
   else begin
     Waitq.wait t.eng t.runq;
     (* Ownership was handed off to us; pay the switch-in cost. *)
-    t.switches <- t.switches + 1;
     Engine.sleep t.eng t.params.Hw.Params.context_switch
   end
 
@@ -64,4 +61,3 @@ let unassign t = t.assigned <- max 0 (t.assigned - 1)
 let assigned t = t.assigned
 let load t = (if t.occupied then 1 else 0) + Waitq.length t.runq
 let busy_time t = t.busy
-let switches t = t.switches

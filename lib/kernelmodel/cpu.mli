@@ -34,6 +34,3 @@ val load : t -> int
 
 val busy_time : t -> Time.t
 (** Total simulated time this core spent computing. *)
-
-val switches : t -> int
-(** Context switches performed. *)

@@ -17,6 +17,3 @@ let next a =
   id
 
 let owner_kernel ~stride id = id mod stride
-
-let pp_pid fmt p = Format.fprintf fmt "pid:%d" p
-let pp_tid fmt t = Format.fprintf fmt "tid:%d" t

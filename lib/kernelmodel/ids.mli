@@ -21,6 +21,3 @@ val next : allocator -> int
 
 val owner_kernel : stride:int -> int -> int
 (** Which kernel's slice an id belongs to (partitioned scheme). *)
-
-val pp_pid : Format.formatter -> pid -> unit
-val pp_tid : Format.formatter -> tid -> unit

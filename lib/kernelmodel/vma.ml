@@ -3,7 +3,6 @@ type prot = { read : bool; write : bool; exec : bool }
 let prot_rw = { read = true; write = true; exec = false }
 let prot_r = { read = true; write = false; exec = false }
 let prot_rx = { read = true; write = false; exec = true }
-let prot_none = { read = false; write = false; exec = false }
 
 let pp_prot fmt p =
   Format.fprintf fmt "%c%c%c"

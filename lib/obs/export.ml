@@ -2,7 +2,9 @@
    Simulated time is nanoseconds; trace_event wants microseconds in [ts]/
    [dur], so we divide by 1e3 and keep the fraction. Tracks: one "process"
    per (run, kernel) pair so repeated boots sharing a recorder don't overlap,
-   one "thread" row per simulated tid (row 0 for kernel-level spans).
+   one "thread" row per simulated tid (row 0 for kernel-level spans), and
+   pid 0 for the trace ring's instants and the causal link records, which
+   belong to no kernel. Each track is named once, before its first event.
 
    The [args] of every span event are the span's results-document object
    ({!Span.to_json}), and those of every causal flow event the causal
@@ -11,9 +13,10 @@
 
 let us ns = float_of_int ns /. 1_000.
 
-let pid_of_kernel ~run_offset ~run ~kernel = ((run_offset + run) * 100) + kernel
+(* From 1 up: pid 0 is the ring's track. *)
+let pid_of_kernel ~run ~kernel = 1 + (run * 100) + kernel
 
-let span_event ~run_offset ~dur (s : Span.span) =
+let span_event ~run_offset ~pid ~dur (s : Span.span) =
   Json.Obj
     [
       ("name", Json.Str (Span.kind_name s.kind));
@@ -21,7 +24,7 @@ let span_event ~run_offset ~dur (s : Span.span) =
       ("ph", Json.Str "X");
       ("ts", Json.Float (us s.start));
       ("dur", Json.Float (us dur));
-      ("pid", Json.Int (pid_of_kernel ~run_offset ~run:s.run ~kernel:s.kernel));
+      ("pid", Json.Int pid);
       ("tid", Json.Int (match s.tid with None -> 0 | Some t -> t + 1));
       ("args", Span.to_json ~run_offset s);
     ]
@@ -35,7 +38,7 @@ let process_meta ~pid name =
       ("args", Json.Obj [ ("name", Json.Str name) ]);
     ]
 
-let trace_event (e : Sim.Trace.event) =
+let trace_event ~pid (e : Sim.Trace.event) =
   Json.Obj
     [
       ("name", Json.Str e.msg);
@@ -43,31 +46,31 @@ let trace_event (e : Sim.Trace.event) =
       ("ph", Json.Str "i");
       ("s", Json.Str "g");
       ("ts", Json.Float (us e.at));
-      ("pid", Json.Int 0);
+      ("pid", Json.Int pid);
       ("tid", Json.Int 0);
     ]
 
 (* Flow-event id: unique per (run, message) within one export. *)
 let flow_id ~run_offset ~run id = (((run_offset + run) * 1_000_000) + id)
 
-let causal_event ~run_offset (e : Causal.event) =
+let causal_event ~run_offset ~pid (e : Causal.event) =
   let args = ("args", Causal.event_to_json ~run_offset e) in
-  let flow ph bp ~run ~id ~at ~kernel =
+  let flow ph bp ~run ~id ~at =
     Json.Obj
       ([ ("name", Json.Str "msg"); ("cat", Json.Str "causal"); ("ph", Json.Str ph) ]
       @ bp
       @ [
           ("id", Json.Int (flow_id ~run_offset ~run id));
           ("ts", Json.Float (us at));
-          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel));
+          ("pid", Json.Int pid);
           ("tid", Json.Int 0);
           args;
         ])
   in
   match e with
-  | Causal.Send { id; run; src; at; _ } -> flow "s" [] ~run ~id ~at ~kernel:src
-  | Causal.Deliver { id; run; dst; at } ->
-      flow "f" [ ("bp", Json.Str "e") ] ~run ~id ~at ~kernel:dst
+  | Causal.Send { id; run; at; _ } -> flow "s" [] ~run ~id ~at
+  | Causal.Deliver { id; run; at; _ } ->
+      flow "f" [ ("bp", Json.Str "e") ] ~run ~id ~at
   | Causal.Link _ ->
       (* No timestamp of its own: a pure edge record (message -> span). *)
       Json.Obj
@@ -77,7 +80,7 @@ let causal_event ~run_offset (e : Causal.event) =
           ("ph", Json.Str "i");
           ("s", Json.Str "t");
           ("ts", Json.Float 0.);
-          ("pid", Json.Int 0);
+          ("pid", Json.Int pid);
           ("tid", Json.Int 0);
           args;
         ]
@@ -88,27 +91,43 @@ let event_run : Causal.event -> int = function
 let chrome_trace sinks =
   let events = ref [] in
   let push e = events := e :: !events in
-  if sinks <> [] then push (process_meta ~pid:0 "trace ring");
+  let named = Hashtbl.create 64 in
+  let track pid name =
+    if not (Hashtbl.mem named pid) then begin
+      Hashtbl.add named pid ();
+      push (process_meta ~pid (name ()))
+    end;
+    pid
+  in
+  let ring_track () = track 0 (fun () -> "trace ring / causal links") in
   let export_sink run_offset (sink : Sink.t) =
+    let kernel_track ~run ~kernel =
+      let run = run_offset + run in
+      track (pid_of_kernel ~run ~kernel) (fun () ->
+          Printf.sprintf "run %d / kernel %d" run kernel)
+    in
     let spans = Span.spans sink.spans and causal = Causal.events sink.causal in
     (* Open spans draw to the end of their run, as analysis clamps them;
        their args keep stop = -1. *)
     let ix = Critpath.build ~spans ~causal in
-    let seen_pids = Hashtbl.create 8 in
     List.iter
       (fun (s : Span.span) ->
-        let pid = pid_of_kernel ~run_offset ~run:s.run ~kernel:s.kernel in
-        if not (Hashtbl.mem seen_pids pid) then begin
-          Hashtbl.add seen_pids pid ();
-          push
-            (process_meta ~pid
-               (Printf.sprintf "run %d / kernel %d" (run_offset + s.run)
-                  s.kernel))
-        end;
-        push (span_event ~run_offset ~dur:(Critpath.duration ix s) s))
+        let pid = kernel_track ~run:s.run ~kernel:s.kernel in
+        push (span_event ~run_offset ~pid ~dur:(Critpath.duration ix s) s))
       spans;
-    List.iter (fun e -> push (causal_event ~run_offset e)) causal;
-    List.iter (fun e -> push (trace_event e)) (Sim.Trace.events sink.trace);
+    List.iter
+      (fun e ->
+        let pid =
+          match e with
+          | Causal.Send { run; src; _ } -> kernel_track ~run ~kernel:src
+          | Causal.Deliver { run; dst; _ } -> kernel_track ~run ~kernel:dst
+          | Causal.Link _ -> ring_track ()
+        in
+        push (causal_event ~run_offset ~pid e))
+      causal;
+    List.iter
+      (fun e -> push (trace_event ~pid:(ring_track ()) e))
+      (Sim.Trace.events sink.trace);
     (* Reserve this sink's runs, its spans' and its messages', before the
        next sink starts. *)
     let last_run =

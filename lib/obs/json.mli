@@ -15,7 +15,6 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-val to_channel : out_channel -> t -> unit
 
 val to_file : string -> t -> unit
 (** Write the document (plus a trailing newline) to [path], truncating. *)

@@ -1,6 +1,6 @@
 type 'a t = {
   eng : Engine.t;
-  capacity : int; (* max_int = unbounded *)
+  capacity : int;
   items : 'a Queue.t;
   senders : unit Waitq.t; (* parked when full; each wake = one free slot *)
   receivers : 'a Waitq.t; (* parked when empty; direct handoff *)
@@ -17,16 +17,6 @@ let create eng ~capacity =
   {
     eng;
     capacity;
-    items = Queue.create ();
-    senders = Waitq.create ~eng ();
-    receivers = Waitq.create ~eng ();
-    reserved = 0;
-  }
-
-let unbounded eng =
-  {
-    eng;
-    capacity = max_int;
     items = Queue.create ();
     senders = Waitq.create ~eng ();
     receivers = Waitq.create ~eng ();
@@ -60,14 +50,6 @@ let send t v =
     Waitq.wait t.eng t.senders;
     buffer t v
   end
-
-let try_send t v =
-  if Waitq.wake_one t.receivers v then true
-  else if occupancy t < t.capacity then begin
-    buffer t v;
-    true
-  end
-  else false
 
 let recv t =
   match unbuffer t with
@@ -113,13 +95,6 @@ let recv_timeout t ~timeout =
       match Waitq.wait_timeout t.eng t.receivers ~timeout with
       | Waitq.Signalled v -> Some v
       | Waitq.Timed_out -> None)
-
-let try_recv t =
-  match unbuffer t with
-  | Some v ->
-      ignore (Waitq.wake_one t.senders ());
-      Some v
-  | None -> None
 
 let length t = occupancy t
 let is_empty t = occupancy t = 0

@@ -9,14 +9,8 @@ type 'a t
 val create : Engine.t -> capacity:int -> 'a t
 (** [capacity >= 1]. *)
 
-val unbounded : Engine.t -> 'a t
-(** Channel that never blocks senders. *)
-
 val send : 'a t -> 'a -> unit
 (** Enqueue; parks the fiber while the channel is full. *)
-
-val try_send : 'a t -> 'a -> bool
-(** Enqueue if there is room; never blocks. *)
 
 val recv : 'a t -> 'a
 (** Dequeue; parks the fiber while the channel is empty. *)
@@ -37,8 +31,6 @@ val release_slot : 'a t -> unit
 
 val recv_timeout : 'a t -> timeout:Time.t -> 'a option
 (** [None] on timeout. *)
-
-val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -111,7 +111,6 @@ let label t ?tag name =
 
 let label_name t id = t.label_names.(id)
 let label_tag t id = t.label_tags.(id)
-let label_count t = t.nlabels
 
 module Introspect = struct
   let waitq_dead_add t n =

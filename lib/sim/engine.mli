@@ -52,9 +52,6 @@ val label : t -> ?tag:string -> string -> label
 val label_name : t -> label -> string
 val label_tag : t -> label -> string option
 
-val label_count : t -> int
-(** Number of distinct labels interned so far. Ids are [0..count-1]. *)
-
 (** {1 Scheduler introspection}
 
     All counters below are maintained unconditionally — plain integer

@@ -14,18 +14,10 @@ let lock t =
     Waitq.wait t.eng t.waiters
   end
 
-let try_lock t =
-  if t.locked then false
-  else begin
-    t.locked <- true;
-    true
-  end
-
 let unlock t =
   if not t.locked then invalid_arg "Mutex.unlock: not locked";
   if not (Waitq.wake_one t.waiters ()) then t.locked <- false
 
-let is_locked t = t.locked
 let waiters t = Waitq.length t.waiters
 
 let with_lock t f =

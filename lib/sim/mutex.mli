@@ -11,12 +11,8 @@ val create : Engine.t -> t
 val lock : t -> unit
 (** Acquire, parking the fiber if the mutex is held. *)
 
-val try_lock : t -> bool
-
 val unlock : t -> unit
 (** Release. Raises [Invalid_argument] if the mutex is not held. *)
-
-val is_locked : t -> bool
 
 val waiters : t -> int
 

@@ -31,11 +31,6 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let exponential t ~mean =
-  let u = ref (float t 1.0) in
-  if !u <= 0.0 then u := epsilon_float;
-  -.mean *. log !u
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -26,10 +26,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val exponential : t -> mean:float -> float
-(** Exponentially-distributed positive float with the given mean; used for
-    Poisson arrival processes in workload generators. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

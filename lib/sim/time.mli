@@ -20,15 +20,6 @@ val ms : int -> t
 val s : int -> t
 (** [s x] is [x] seconds. *)
 
-val to_float_us : t -> float
-(** Duration in microseconds as a float, for reporting. *)
-
-val to_float_ms : t -> float
-(** Duration in milliseconds as a float, for reporting. *)
-
-val to_float_s : t -> float
-(** Duration in seconds as a float, for reporting. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : int -> t -> t

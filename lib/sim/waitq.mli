@@ -21,8 +21,6 @@ val push : 'a t -> ('a -> unit) -> 'a entry
 val cancel : 'a entry -> unit
 (** Deactivate an entry. Idempotent; no-op if the entry was already woken. *)
 
-val is_active : 'a entry -> bool
-
 val wake_one : 'a t -> 'a -> bool
 (** Resume the oldest active waiter. Returns [false] if none was waiting. *)
 

@@ -95,6 +95,3 @@ let with_write t ~core f =
   | exception e ->
       up_write t ~core;
       raise e
-
-let line_ops t = Hw.Cacheline.ops t.line
-let line_wait t = Hw.Cacheline.total_wait t.line

@@ -18,9 +18,3 @@ val up_write : t -> core:Hw.Topology.core -> unit
 
 val with_read : t -> core:Hw.Topology.core -> (unit -> 'a) -> 'a
 val with_write : t -> core:Hw.Topology.core -> (unit -> 'a) -> 'a
-
-val line_ops : t -> int
-(** Atomic operations performed on the semaphore's cache line. *)
-
-val line_wait : t -> Time.t
-(** Total time spent serialised on the cache line. *)

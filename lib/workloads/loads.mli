@@ -19,9 +19,6 @@ module Make (Os : Os_intf.S) : sig
     Sim.Engine.t -> Os.thread -> workers:int -> ops:int -> pages:int -> unit
   (** F3: concurrent map-touch-unmap churn. *)
 
-  val page_walk : Os.thread -> base:int -> pages:int -> write:bool -> unit
-  (** F4 helper: touch consecutive pages. *)
-
   val futex_pingpong :
     Sim.Engine.t -> Os.thread -> pairs:int -> rounds:int -> unit
   (** F5: futex round trips between thread pairs. *)

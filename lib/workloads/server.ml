@@ -9,9 +9,6 @@ type config = {
   deadline_ns : Time.t option;
 }
 
-let steady ~requests ~gap ~cost_ns =
-  { requests; interarrival = (fun _ -> gap); cost_ns; deadline_ns = None }
-
 type stats = {
   offered : int;
   completed : int;

@@ -27,9 +27,6 @@ type config = {
           Accounting only — never changes scheduling. *)
 }
 
-val steady : requests:int -> gap:Sim.Time.t -> cost_ns:int -> config
-(** Constant-rate arrivals every [gap]; no deadline. *)
-
 type stats = {
   offered : int;  (** arrivals (= [config.requests]). *)
   completed : int;  (** got a response. *)

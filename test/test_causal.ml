@@ -16,11 +16,8 @@ let spans_json (sink : Obs.Sink.t) =
 let run_workload ?(compute_us = 20) ~sink ~seed () =
   let machine = Hw.Machine.create ~seed ~sockets:1 ~cores_per_socket:4 () in
   let cluster = Popcorn.Cluster.boot machine ~kernels:2 ~cores_per_kernel:2 in
-  let (s : Obs.Sink.t) = sink in
-  Hw.Machine.attach_obs machine ~metrics:s.Obs.Sink.metrics
-    ~spans:s.Obs.Sink.spans ~causal:s.Obs.Sink.causal ();
-  Popcorn.Cluster.observe ~metrics:s.Obs.Sink.metrics
-    ~tracer:s.Obs.Sink.trace cluster;
+  Hw.Machine.attach_obs machine sink;
+  Popcorn.Cluster.observe cluster sink;
   let eng = machine.Hw.Machine.eng in
   Sim.Engine.spawn eng (fun () ->
       let proc =
@@ -707,6 +704,47 @@ let test_merged_trace () =
   Alcotest.(check bool) "each root's path is its own sink's" true
     (merged_paths = List.concat_map paths own)
 
+(* --- every trace track is named once --- *)
+
+(* A sink with spans, messages, links and ring events, and one with
+   messages but no spans: every pid an event uses has exactly one
+   process_name, and the instants (ring entries and link records) sit on a
+   track no span or message uses. *)
+let test_trace_tracks () =
+  let with_spans = Obs.Sink.create () in
+  ignore (run_workload ~sink:with_spans ~seed:42 ());
+  let messages_only = Obs.Sink.create () in
+  let c = messages_only.Obs.Sink.causal in
+  Obs.Causal.new_run c;
+  Obs.Causal.emit_send c ~id:0 ~src:2 ~dst:3 ~at:100 ~bytes:64 ~from_span:None;
+  Obs.Causal.emit_deliver c ~id:0 ~dst:3 ~at:400;
+  let events =
+    Obs.Json.arr_field "traceEvents"
+      (Obs.Export.chrome_trace [ with_spans; messages_only ])
+  in
+  let str = Obs.Json.str_field in
+  let pid e = Option.get (Obs.Json.int_field "pid" e) in
+  let pids l = List.sort_uniq compare (List.map pid l) in
+  let meta, used = List.partition (fun e -> str "ph" e = Some "M") events in
+  List.iter
+    (fun p ->
+      Alcotest.(check int)
+        (Printf.sprintf "pid %d named once" p)
+        1
+        (List.length
+           (List.filter
+              (fun e -> pid e = p && str "name" e = Some "process_name")
+              meta)))
+    (pids used);
+  let instants, on_kernels =
+    List.partition (fun e -> str "ph" e = Some "i") used
+  in
+  Alcotest.(check bool) "ring entries and links exported" true
+    (List.exists (fun e -> str "name" e = Some "link") instants
+    && List.exists (fun e -> str "cat" e <> Some "causal") instants);
+  Alcotest.(check (list int)) "instants share no kernel track" []
+    (List.filter (fun p -> List.mem p (pids on_kernels)) (pids instants))
+
 let () =
   Alcotest.run "causal"
     [
@@ -755,5 +793,7 @@ let () =
             test_export_clamps_unclosed;
           Alcotest.test_case "merged trace analyzes like its sinks" `Quick
             test_merged_trace;
+          Alcotest.test_case "every trace track named once" `Quick
+            test_trace_tracks;
         ] );
     ]

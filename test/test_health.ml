@@ -346,37 +346,23 @@ let test_r2_same_seed_same_transitions () =
     (digest a = digest b)
 
 (* R2 under domain parallelism is bit-identical to a serial run: four
-   concurrent observed runs (same seed) agree on rendered tables and
+   concurrent observed runs (same seed) agree on rendered output and
    metrics JSON with a serial one. (test_parallel covers the whole suite;
    this pins the new experiment directly.) *)
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
-
-let strip_host_ms s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line ->
-         not
-           (String.length line > 0
-           && line.[0] = '('
-           && contains ~affix:"ms host time" line))
-  |> String.concat "\n"
-
 let test_r2_parallel_equivalence () =
   let spec = Option.get (Experiments.Registry.find "R2") in
   let run () = Experiments.Registry.run_one ~quick:true ~observe:true spec in
   let serial = run () in
   let domains = List.init 3 (fun _ -> Domain.spawn run) in
   let outcomes = serial :: List.map Domain.join domains in
-  let table o = strip_host_ms o.Experiments.Registry.output in
   let metrics (o : Experiments.Registry.outcome) =
     Obs.Json.to_string
       (Obs.Metrics.to_json (Option.get o.Experiments.Registry.sink).Obs.Sink.metrics)
   in
   List.iter
     (fun o ->
-      Alcotest.(check string) "tables identical" (table serial) (table o);
+      Alcotest.(check string) "output identical"
+        serial.Experiments.Registry.output o.Experiments.Registry.output;
       Alcotest.(check string) "metrics identical" (metrics serial) (metrics o))
     outcomes
 

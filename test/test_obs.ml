@@ -137,11 +137,9 @@ let run_workload ?sink ~seed () =
   let cluster = Popcorn.Cluster.boot machine ~kernels:2 ~cores_per_kernel:2 in
   (match sink with
   | None -> ()
-  | Some (s : Obs.Sink.t) ->
-      Hw.Machine.attach_obs machine ~metrics:s.Obs.Sink.metrics
-        ~spans:s.Obs.Sink.spans ();
-      Popcorn.Cluster.observe ~metrics:s.Obs.Sink.metrics
-        ~tracer:s.Obs.Sink.trace cluster);
+  | Some s ->
+      Hw.Machine.attach_obs machine s;
+      Popcorn.Cluster.observe cluster s);
   let eng = machine.Hw.Machine.eng in
   Sim.Engine.spawn eng (fun () ->
       let proc =

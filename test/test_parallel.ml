@@ -1,64 +1,68 @@
-(* Parallel-vs-serial equivalence — the headline guarantee of the explicit
-   [Run_ctx] refactor. Every experiment owns its context, sink and
-   machines, so scheduling the suite over domains must change nothing:
-   the quick suite run with jobs=1 and jobs=4 yields, per experiment,
-   identical rendered tables, identical metrics JSON, and identical
-   span / causal-DAG digests. Host wall-clock is the one legitimate
-   difference; it is stripped before comparing rendered output. *)
+(* Whole-result determinism. An outcome's rendered [output] and its
+   results-document entry carry no host time, so together they are the
+   run's identity, and every check here compares them byte for byte:
+   between two runs, between the quick suite scheduled over one domain and
+   over four (each experiment owns its context, sink and machines), and
+   against the committed baselines, which hold the default protocol's and
+   the sharded protocol's quick suite as `all --quick --baseline-out`
+   writes them. *)
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
+module R = Experiments.Registry
 
-let strip_host_ms s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line ->
-         not
-           (String.length line > 0
-           && line.[0] = '('
-           && contains ~affix:"ms host time" line))
-  |> String.concat "\n"
+let check_same_run (a : R.outcome) (b : R.outcome) =
+  let id = a.spec.R.id in
+  Alcotest.(check string) (id ^ ": registry order preserved") id b.spec.R.id;
+  Alcotest.(check string) (id ^ ": output identical") a.output b.output;
+  Alcotest.(check string)
+    (id ^ ": results entry identical")
+    (Obs.Json.to_string (R.outcome_json a))
+    (Obs.Json.to_string (R.outcome_json b))
 
-let json_digest j = Digest.to_hex (Digest.string (Obs.Json.to_string j))
+(* What `--baseline-out` would write must be the committed file, byte for
+   byte. Entries are compared first so a mismatch names the experiment. *)
+let check_baseline path (outcomes : R.outcome list) =
+  let committed = In_channel.with_open_bin path In_channel.input_all in
+  let entries =
+    match Obs.Json.of_string committed with
+    | Ok doc -> Obs.Json.arr_field "experiments" doc
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  List.iter
+    (fun (o : R.outcome) ->
+      let id = o.spec.R.id in
+      Alcotest.(check (option string))
+        (path ^ ": " ^ id)
+        (Some (Obs.Json.to_string (R.outcome_json ~metrics_only:true o)))
+        (List.find_opt (fun e -> Obs.Json.str_field "id" e = Some id) entries
+        |> Option.map Obs.Json.to_string))
+    outcomes;
+  Alcotest.(check bool)
+    (path ^ ": whole file identical")
+    true
+    (committed
+    = Obs.Json.to_string (R.report_json ~quick:true ~metrics_only:true outcomes)
+      ^ "\n")
 
-let spans_json (s : Obs.Sink.t) =
-  Obs.Json.Arr (List.map Obs.Span.to_json (Obs.Span.spans s.Obs.Sink.spans))
-
-let suite ~jobs =
-  Experiments.Registry.run_all ~quick:true ~observe:true ~jobs ()
+let suite ?coherence ~jobs () =
+  R.run_all ~quick:true ~observe:true ?coherence ~jobs ()
 
 let test_jobs_invariant () =
-  let serial = suite ~jobs:1 in
-  let parallel = suite ~jobs:4 in
+  let serial = suite ~jobs:1 () in
+  let parallel = suite ~jobs:4 () in
   Alcotest.(check int) "experiment count"
     (List.length serial) (List.length parallel);
-  List.iter2
-    (fun (a : Experiments.Registry.outcome)
-         (b : Experiments.Registry.outcome) ->
-      let id = a.spec.Experiments.Registry.id in
-      Alcotest.(check string)
-        (id ^ ": registry order preserved")
-        id b.spec.Experiments.Registry.id;
-      Alcotest.(check string)
-        (id ^ ": rendered tables identical")
-        (strip_host_ms a.output) (strip_host_ms b.output);
-      match (a.sink, b.sink) with
-      | Some sa, Some sb ->
-          Alcotest.(check string)
-            (id ^ ": metrics JSON identical")
-            (Obs.Json.to_string (Obs.Metrics.to_json sa.Obs.Sink.metrics))
-            (Obs.Json.to_string (Obs.Metrics.to_json sb.Obs.Sink.metrics));
-          Alcotest.(check string)
-            (id ^ ": span digest identical")
-            (json_digest (spans_json sa))
-            (json_digest (spans_json sb));
-          Alcotest.(check string)
-            (id ^ ": causal-DAG digest identical")
-            (json_digest (Obs.Causal.to_json sa.Obs.Sink.causal))
-            (json_digest (Obs.Causal.to_json sb.Obs.Sink.causal))
-      | _ -> Alcotest.failf "%s: observed run is missing its sink" id)
-    serial parallel
+  List.iter2 check_same_run serial parallel;
+  check_baseline "../bench/baseline.json" parallel
+
+let test_sharded_baseline () =
+  check_baseline "../bench/baseline-sharded.json"
+    (suite ~coherence:Coherence.Protocol.Sharded_dir ~jobs:4 ())
+
+let test_no_host_time () =
+  let run () =
+    R.run_one ~quick:true ~observe:true (Option.get (R.find "T2"))
+  in
+  check_same_run (run ()) (run ())
 
 (* The seed travels through Run_ctx into every machine an experiment
    boots: the same seed reproduces a run exactly, and the machine's RNG
@@ -66,11 +70,7 @@ let test_jobs_invariant () =
    Hw.Machine.create — it is not still hard-coded to 42 somewhere). *)
 let test_seed_threaded () =
   let run seed =
-    let o =
-      Experiments.Registry.run_one ~quick:true ~seed
-        (Option.get (Experiments.Registry.find "T2"))
-    in
-    strip_host_ms o.Experiments.Registry.output
+    (R.run_one ~quick:true ~seed (Option.get (R.find "T2"))).R.output
   in
   Alcotest.(check string) "same seed, same tables" (run 7) (run 7);
   let draws seed =
@@ -92,6 +92,10 @@ let () =
         [
           Alcotest.test_case "jobs=4 == jobs=1 (quick suite)" `Slow
             test_jobs_invariant;
+          Alcotest.test_case "sharded suite == committed baseline" `Slow
+            test_sharded_baseline;
+          Alcotest.test_case "results carry no host time" `Quick
+            test_no_host_time;
           Alcotest.test_case "seed threads through Run_ctx" `Quick
             test_seed_threaded;
         ] );

@@ -9,18 +9,6 @@ let contains ~affix s =
   let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
   n = 0 || at 0
 
-(* Host wall-clock (and the events/sec derived from it) is the one
-   legitimate difference between runs; it lives on the "(ID: ... ms host
-   time ...)" line, which is stripped before comparing. *)
-let strip_host_ms s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line ->
-         not
-           (String.length line > 0
-           && line.[0] = '('
-           && contains ~affix:"ms host time" line))
-  |> String.concat "\n"
-
 let run ?observe ?profile id =
   Experiments.Registry.run_one ~quick:true ?observe ?profile
     (Option.get (Experiments.Registry.find id))
@@ -34,8 +22,7 @@ let test_profile_inert () =
       let on = run ~profile:true id in
       Alcotest.(check string)
         (id ^ ": tables identical with profiling on")
-        (strip_host_ms off.Experiments.Registry.output)
-        (strip_host_ms on.Experiments.Registry.output);
+        off.Experiments.Registry.output on.Experiments.Registry.output;
       Alcotest.(check int)
         (id ^ ": same event count")
         off.Experiments.Registry.events_processed
@@ -113,7 +100,7 @@ let test_jobs_profiled () =
          (b : Experiments.Registry.outcome) ->
       Alcotest.(check string)
         (a.spec.Experiments.Registry.id ^ ": identical under jobs=4")
-        (strip_host_ms a.output) (strip_host_ms b.output))
+        a.output b.output)
     serial parallel
 
 let () =
