@@ -1,11 +1,13 @@
-(* Engine hot-path microbenchmarks (bechamel).
+(* Engine hot-path and boot microbenchmarks (bechamel).
 
-   Covers the four operations the DES-throughput refactor targets:
-   event-heap push/pop, label interning, metric updates (by-name vs
-   pre-resolved handle), and end-to-end message delivery through the
-   transport. CI runs `--quick` and archives the report; the numbers are
-   informational — bit-identity of results is guarded elsewhere (the diff
-   gates).
+   Covers event-heap push/pop, label interning, metric updates (by-name vs
+   pre-resolved handle), end-to-end message delivery through the
+   transport, and booting: a bare 4-socket x 16-core machine, and a
+   4-kernel Popcorn cluster on it (what every experiment data point pays
+   before its first event). CI runs `--quick` and archives the report; the
+   numbers are informational. That simulated results stay identical is
+   checked by the tier-1 tests, which hold the quick suite byte for byte
+   to bench/baseline.json.
 
    usage: micro.exe [--quick] *)
 
@@ -91,6 +93,15 @@ let deliver =
           done);
       Sim.Engine.run Hw.Machine.(m.eng))
 
+let machine_create =
+  Staged.stage (fun () ->
+      ignore (Hw.Machine.create ~sockets:4 ~cores_per_socket:16 ()))
+
+let popcorn_boot =
+  Staged.stage (fun () ->
+      let m = Hw.Machine.create ~sockets:4 ~cores_per_socket:16 () in
+      ignore (Popcorn.Cluster.boot m ~kernels:4 ~cores_per_kernel:16))
+
 let tests =
   Test.make_grouped ~name:"engine"
     [
@@ -100,6 +111,8 @@ let tests =
       Test.make ~name:"metrics-incr/by-name" metrics_by_name;
       Test.make ~name:"metrics-incr/handle" metrics_handle;
       Test.make ~name:"deliver-128" deliver;
+      Test.make ~name:"machine-create" machine_create;
+      Test.make ~name:"popcorn-boot" popcorn_boot;
     ]
 
 let () =

@@ -55,8 +55,8 @@ let unschedule th =
 (* Run [body th] on a fiber of its own: scheduled in, paying the
    dispatch-in cost before user code runs; on return (or once killed)
    unscheduled and exited, unless exit_group/kill already tore it down. *)
-let launch th ~name body =
-  Sim.Engine.spawn (eng th.cluster) ~tag:"popcorn" ~name (fun () ->
+let launch th ~label body =
+  Sim.Engine.spawn_label (eng th.cluster) label (fun () ->
       schedule_in th;
       Proto_util.kernel_work th.cluster
         (params th.cluster).Hw.Params.context_switch;
@@ -106,8 +106,7 @@ let spawn th ?target body : K.Ids.tid =
   in
   launch
     { cluster = th.cluster; proc = th.proc; task = new_task }
-    ~name:(Printf.sprintf "thread-%d" new_tid)
-    body;
+    ~label:th.cluster.thread_label body;
   new_tid
 
 (* --- memory --- *)
@@ -225,9 +224,7 @@ let close_file th ~fd =
     [origin]. Must be called from inside the simulation (a fiber). *)
 let start_process cluster ~origin main : process =
   let proc, task = Cluster.create_process cluster ~origin_kernel:origin in
-  launch { cluster; proc; task }
-    ~name:(Printf.sprintf "proc-%d-main" proc.pid)
-    main;
+  launch { cluster; proc; task } ~label:cluster.main_label main;
   proc
 
 (** Terminate every thread of this group, on every kernel (exit_group).
@@ -258,8 +255,7 @@ let fork th main : process =
   in
   launch
     { cluster = th.cluster; proc = child; task }
-    ~name:(Printf.sprintf "proc-%d-main" child.pid)
-    main;
+    ~label:th.cluster.main_label main;
   child
 
 (** Park until every thread of [proc] has exited. *)

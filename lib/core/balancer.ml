@@ -170,8 +170,7 @@ let start ?(period = Sim.Time.ms 1) ?(threshold = 2) ?health ?hint_ttl
   in
   Array.iter
     (fun kernel ->
-      Sim.Engine.spawn (eng cluster) ~tag:"popcorn"
-        ~name:(Printf.sprintf "balancer-k%d" kernel.kid)
+      Sim.Engine.spawn (eng cluster) ~tag:"popcorn" ~name:"balancer"
         (fun () ->
           let rec loop () =
             if t.running then begin

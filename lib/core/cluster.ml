@@ -161,6 +161,8 @@ let boot ?(opts = default_options) (machine : Hw.Machine.t) ~kernels
           vfs_ops = 0;
         };
       tracer = None;
+      thread_label = Sim.Engine.label eng ~tag:"popcorn" "thread";
+      main_label = Sim.Engine.label eng ~tag:"popcorn" "proc-main";
     }
   in
   cluster_ref := Some cluster;

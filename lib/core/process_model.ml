@@ -10,6 +10,9 @@ module K = Kernelmodel
     order of magnitude more expensive than re-animating a parked dummy. *)
 let task_construct_cost = Sim.Time.us 12
 let dummy_adopt_cost = Sim.Time.us 1
+
+(* Dummy threads pre-spawned per remote replica, and the level the
+   background refill restores. *)
 let dummy_pool_size = 8
 
 let create_master cluster ~(origin : kernel) : process =

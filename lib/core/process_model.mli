@@ -6,13 +6,6 @@ open Types
 val task_construct_cost : Sim.Time.t
 (** Full task-struct + kernel-stack construction (clone slow path). *)
 
-val dummy_adopt_cost : Sim.Time.t
-(** Re-animating a pre-spawned dummy thread (the paper's fast path). *)
-
-val dummy_pool_size : int
-(** Dummy threads pre-spawned per remote replica, and the level the
-    background refill restores (8). *)
-
 val create_master : cluster -> origin:kernel -> process
 (** Allocate a pid from the origin's slice and register the master record. *)
 

@@ -228,6 +228,10 @@ type cluster = {
   vfs : vfs_state;  (** served by kernel 0 (the device owner). *)
   mutable tracer : Trace.t option;
       (** protocol-event trace, when enabled ([Cluster.enable_tracing]). *)
+  (* The engine labels of thread and process-main fibers, interned at
+     boot so a spawn hashes nothing. *)
+  thread_label : Engine.label;
+  main_label : Engine.label;
 }
 
 and options = {

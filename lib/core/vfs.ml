@@ -9,6 +9,7 @@
 
 open Types
 
+(* The kernel that owns the device. *)
 let server_kernel = 0
 
 (* Server-side cost: dentry/page-cache work plus per-byte copy charged via

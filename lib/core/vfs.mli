@@ -9,9 +9,6 @@
 
 open Types
 
-val server_kernel : int
-(** The kernel that owns the device (0). *)
-
 val syscall :
   cluster ->
   kernel ->

@@ -8,13 +8,20 @@ type frame = int
    that boots a fresh machine. Allocation order is unchanged: freed frames
    are LIFO and always preferred (in the eager stack they sat above the
    untouched range), then pristine frames ascend — exactly the order the
-   eager stack popped. *)
+   eager stack popped.
+
+   The allocated-bit map is lazy too: one bitmap per socket (a byte per
+   frame) covering only the offsets below that socket's cursor, doubled
+   as [take] advances the cursor. No offset at or above the cursor was
+   ever handed out, so it needs no bit; a boot allocates no per-frame
+   state at all. *)
 type t = {
   topo : Topology.t;
   frames_per_socket : int;
   next : int array; (* per-socket: first never-allocated frame offset *)
   freed : frame Stack.t array; (* one per socket: explicitly freed frames *)
-  allocated : Bytes.t; (* 1 byte per frame: 0 free, 1 used *)
+  allocated : Bytes.t array;
+      (* per socket, 1 byte per offset below [next]: 0 free, 1 used *)
   mutable used : int;
 }
 
@@ -26,7 +33,7 @@ let create topo ~frames_per_socket =
     frames_per_socket;
     next = Array.make sockets 0;
     freed = Array.init sockets (fun _ -> Stack.create ());
-    allocated = Bytes.make (sockets * frames_per_socket) '\000';
+    allocated = Array.make sockets Bytes.empty;
     used = 0;
   }
 
@@ -34,22 +41,29 @@ let frames_per_socket t = t.frames_per_socket
 let total_frames t = Topology.sockets t.topo * t.frames_per_socket
 
 let take t node =
-  let f =
+  let off =
     match Stack.pop_opt t.freed.(node) with
-    | Some f -> f
+    | Some f -> f - (node * t.frames_per_socket)
     | None ->
         let n = t.next.(node) in
         if n >= t.frames_per_socket then -1
         else begin
           t.next.(node) <- n + 1;
-          (node * t.frames_per_socket) + n
+          let bits = t.allocated.(node) in
+          if n >= Bytes.length bits then begin
+            let cap = min t.frames_per_socket (max 64 (2 * n)) in
+            let bits' = Bytes.make cap '\000' in
+            Bytes.blit bits 0 bits' 0 n;
+            t.allocated.(node) <- bits'
+          end;
+          n
         end
   in
-  if f < 0 then None
+  if off < 0 then None
   else begin
-    Bytes.set t.allocated f '\001';
+    Bytes.set t.allocated.(node) off '\001';
     t.used <- t.used + 1;
-    Some f
+    Some ((node * t.frames_per_socket) + off)
   end
 
 let alloc t ~node =
@@ -77,10 +91,13 @@ let node_of_frame t f =
 let free t f =
   if f < 0 || f >= total_frames t then
     invalid_arg "Memory.free: frame out of range";
-  if Bytes.get t.allocated f = '\000' then
+  let node = node_of_frame t f in
+  let off = f - (node * t.frames_per_socket) in
+  (* An offset at or above the cursor was never handed out. *)
+  if off >= t.next.(node) || Bytes.get t.allocated.(node) off = '\000' then
     invalid_arg "Memory.free: double free";
-  Bytes.set t.allocated f '\000';
+  Bytes.set t.allocated.(node) off '\000';
   t.used <- t.used - 1;
-  Stack.push f t.freed.(node_of_frame t f)
+  Stack.push f t.freed.(node)
 
 let used_count t = t.used

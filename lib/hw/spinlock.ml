@@ -102,7 +102,6 @@ let release t =
           t.holder <- Some w.core;
           Engine.schedule t.eng ~after:cost w.resume)
 
-let holder t = t.holder
 let waiters t = Queue.length t.waiters
 
 let stats t =

@@ -36,7 +36,6 @@ val acquire : t -> core:Topology.core -> unit
 val release : t -> unit
 (** Release; hands off to the oldest waiter, charging the handoff cost. *)
 
-val holder : t -> Topology.core option
 val waiters : t -> int
 val stats : t -> stats
 

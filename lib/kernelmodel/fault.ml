@@ -22,10 +22,6 @@ let classify vmas pt ~addr ~access =
                 if pte.Page_table.writable then Present else Cow_or_upgrade)
       end
 
-let pp_access fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
-
 let pp fmt = function
   | Segv -> Format.pp_print_string fmt "segv"
   | Minor -> Format.pp_print_string fmt "minor"

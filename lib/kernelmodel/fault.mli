@@ -19,5 +19,4 @@ type classification =
 val classify :
   Vma.t -> Page_table.t -> addr:int -> access:access -> classification
 
-val pp_access : Format.formatter -> access -> unit
 val pp : Format.formatter -> classification -> unit

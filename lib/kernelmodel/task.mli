@@ -31,5 +31,4 @@ val note_touch : t -> vpn:int -> unit
 
 val set_state : t -> state -> unit
 
-val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ type prot = { read : bool; write : bool; exec : bool }
 val prot_rw : prot
 val prot_r : prot
 val prot_rx : prot
-val pp_prot : Format.formatter -> prot -> unit
 
 type kind = Anon | Stack | Heap | File of string
 

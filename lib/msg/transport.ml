@@ -39,11 +39,6 @@ type 'a endpoint = {
   node : node;
   core : Hw.Topology.core;
   inbox : 'a packet Channel.t;
-  handler_label : Sim.Engine.label;
-      (** interned ["msg-handler-n<node>"] label, built once at [add_node]:
-          the worker spawns one handler fiber per delivered message, and
-          formatting + interning that name per message was the single
-          largest allocation on the delivery path. *)
   mutable last_seq : int array;
       (** per-source highest delivered sequence number, indexed by source
           node (grown on demand; 0 = nothing delivered); rings are FIFO per
@@ -96,6 +91,10 @@ type 'a t = {
   ring_slots : int;
   handler : 'a t -> dst:node -> src:node -> delivery -> 'a -> unit;
   endpoints : (node, 'a endpoint) Hashtbl.t;
+  handler_label : Engine.label;
+      (** interned once at [create]: a worker spawns one handler fiber per
+          delivered message, so the label must cost nothing per message *)
+  worker_label : Engine.label;
   mutable next_msg_id : int;
   mutable hooks : hooks option;
   mutable st_sent : int;
@@ -116,6 +115,9 @@ let create machine ~ring_slots ~handler =
     ring_slots;
     handler;
     endpoints = Hashtbl.create 16;
+    handler_label =
+      Engine.label machine.Hw.Machine.eng ~tag:"msg" "msg-handler";
+    worker_label = Engine.label machine.Hw.Machine.eng ~tag:"msg" "msg-worker";
     next_msg_id = 0;
     hooks = None;
     st_sent = 0;
@@ -236,10 +238,8 @@ let worker_loop t ep =
       Hw.Machine.causal_deliver m ~id:pkt.msg_id ~dst:ep.node;
       let src = pkt.src and payload = pkt.payload in
       let d = { msg_id = pkt.msg_id; from_span = pkt.from_span } in
-      (* Fresh fiber per message: handlers may block on nested RPCs. The
-         label was interned once at [add_node] — no per-message name
-         formatting or hashing. *)
-      Engine.spawn_label eng ep.handler_label (fun () ->
+      (* Fresh fiber per message: handlers may block on nested RPCs. *)
+      Engine.spawn_label eng t.handler_label (fun () ->
           t.handler t ~dst:ep.node ~src d payload)
     end
   in
@@ -274,8 +274,6 @@ let add_node t node ~home_core =
       node;
       core = home_core;
       inbox = Channel.create eng ~capacity:t.ring_slots;
-      handler_label =
-        Engine.label eng ~tag:"msg" (Printf.sprintf "msg-handler-n%d" node);
       last_seq = [||];
       tx_seq = [||];
       worker_idle = true;
@@ -283,9 +281,7 @@ let add_node t node ~home_core =
     }
   in
   Hashtbl.add t.endpoints node ep;
-  Engine.spawn eng ~tag:"msg"
-    ~name:(Printf.sprintf "msg-worker-n%d" node)
-    (fun () -> worker_loop t ep)
+  Engine.spawn_label eng t.worker_label (fun () -> worker_loop t ep)
 
 (* Per-destination tx sequence, from the source endpoint's flat array (no
    tuple key, no hashing). *)

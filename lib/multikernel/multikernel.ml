@@ -29,6 +29,8 @@ type t = {
   mutable next_chan : int;
   mutable next_domain : int;
   domains : (int, domain) Hashtbl.t;
+  dispatcher_label : Engine.label;
+      (** interned at boot: one fiber per dispatcher spawned *)
 }
 
 and domain = {
@@ -101,6 +103,7 @@ let boot (machine : Hw.Machine.t) : t =
       next_chan = 1;
       next_domain = 1;
       domains = Hashtbl.create 16;
+      dispatcher_label = Engine.label e ~tag:"mk" "mk-dispatcher";
     }
   in
   sys_ref := Some sys;
@@ -133,8 +136,7 @@ let start_domain t ~core main : domain =
   let dom = { sys = t; id; dispatchers = 1; exit_waiters = Waitq.create ~eng:(eng t) () } in
   Hashtbl.replace t.domains id dom;
   let d = make_dispatcher dom core in
-  Engine.spawn (eng t) ~tag:"mk" ~name:(Printf.sprintf "mk-dom%d-c%d" id core)
-    (fun () ->
+  Engine.spawn_label (eng t) t.dispatcher_label (fun () ->
       Engine.sleep (eng t) dispatcher_create_cost;
       main d;
       dom.dispatchers <- dom.dispatchers - 1;
@@ -158,8 +160,7 @@ let spawn_dispatcher (d : dispatcher) ~core body : unit =
   | _ -> assert false);
   d.dom.dispatchers <- d.dom.dispatchers + 1;
   let child = make_dispatcher d.dom core in
-  Engine.spawn (eng t) ~tag:"mk" ~name:(Printf.sprintf "mk-dom%d-c%d" d.dom.id core)
-    (fun () ->
+  Engine.spawn_label (eng t) t.dispatcher_label (fun () ->
       Engine.sleep (eng t) (params t).Hw.Params.context_switch;
       body child;
       d.dom.dispatchers <- d.dom.dispatchers - 1;

@@ -23,6 +23,7 @@ type t = private {
   mutable next_chan : int;
   mutable next_domain : int;
   domains : (int, domain) Hashtbl.t;
+  dispatcher_label : Engine.label;
 }
 
 and domain = private {

@@ -87,7 +87,12 @@ type parser_state = { src : string; mutable pos : int }
 let parse_fail st msg =
   raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The byte at the cursor, or ['\000'] past the end. Callers for which
+   a NUL byte and the end of input mean different things test [pos]
+   first; nothing here allocates per byte. *)
+let peek st =
+  if st.pos < String.length st.src then String.unsafe_get st.src st.pos
+  else '\000'
 
 let skip_ws st =
   while
@@ -98,9 +103,8 @@ let skip_ws st =
   done
 
 let expect st c =
-  match peek st with
-  | Some x when x = c -> st.pos <- st.pos + 1
-  | _ -> parse_fail st (Printf.sprintf "expected '%c'" c)
+  if peek st = c then st.pos <- st.pos + 1
+  else parse_fail st (Printf.sprintf "expected '%c'" c)
 
 let parse_literal st word value =
   if
@@ -138,51 +142,74 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* A string without escapes, which is nearly every string a document
+   holds, is one [String.sub] of the source; a [Buffer] is made only once
+   a backslash shows up. *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> parse_fail st "unterminated string"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' -> (
-        st.pos <- st.pos + 1;
-        match peek st with
-        | Some '"' -> Buffer.add_char buf '"'; st.pos <- st.pos + 1; go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; st.pos <- st.pos + 1; go ()
-        | Some '/' -> Buffer.add_char buf '/'; st.pos <- st.pos + 1; go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; st.pos <- st.pos + 1; go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; st.pos <- st.pos + 1; go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; st.pos <- st.pos + 1; go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; st.pos <- st.pos + 1; go ()
-        | Some 't' -> Buffer.add_char buf '\t'; st.pos <- st.pos + 1; go ()
-        | Some 'u' ->
+  let src = st.src and len = String.length st.src in
+  let start = st.pos in
+  while
+    st.pos < len && match src.[st.pos] with '"' | '\\' -> false | _ -> true
+  do
+    st.pos <- st.pos + 1
+  done;
+  if st.pos >= len then parse_fail st "unterminated string";
+  if src.[st.pos] = '"' then begin
+    st.pos <- st.pos + 1;
+    String.sub src start (st.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (2 * (st.pos - start) + 16) in
+    Buffer.add_substring buf src start (st.pos - start);
+    let rec go () =
+      if st.pos >= len then parse_fail st "unterminated string";
+      match src.[st.pos] with
+      | '"' -> st.pos <- st.pos + 1
+      | '\\' -> (
+          st.pos <- st.pos + 1;
+          let add c =
+            Buffer.add_char buf c;
             st.pos <- st.pos + 1;
-            let cp = parse_hex4 st in
-            (* Surrogate pair: \uD800-\uDBFF must be followed by a low
-               surrogate; combine them. *)
-            let cp =
-              if cp >= 0xD800 && cp <= 0xDBFF
-                 && st.pos + 6 <= String.length st.src
-                 && st.src.[st.pos] = '\\'
-                 && st.src.[st.pos + 1] = 'u'
-              then begin
-                st.pos <- st.pos + 2;
-                let lo = parse_hex4 st in
-                0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-              end
-              else cp
-            in
-            add_utf8 buf cp;
             go ()
-        | _ -> parse_fail st "bad escape")
-    | Some c ->
-        Buffer.add_char buf c;
-        st.pos <- st.pos + 1;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+          in
+          match peek st with
+          | '"' -> add '"'
+          | '\\' -> add '\\'
+          | '/' -> add '/'
+          | 'b' -> add '\b'
+          | 'f' -> add '\012'
+          | 'n' -> add '\n'
+          | 'r' -> add '\r'
+          | 't' -> add '\t'
+          | 'u' ->
+              st.pos <- st.pos + 1;
+              let cp = parse_hex4 st in
+              (* Surrogate pair: \uD800-\uDBFF must be followed by a low
+                 surrogate; combine them. *)
+              let cp =
+                if cp >= 0xD800 && cp <= 0xDBFF
+                   && st.pos + 6 <= len
+                   && src.[st.pos] = '\\'
+                   && src.[st.pos + 1] = 'u'
+                then begin
+                  st.pos <- st.pos + 2;
+                  let lo = parse_hex4 st in
+                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                end
+                else cp
+              in
+              add_utf8 buf cp;
+              go ()
+          | _ -> parse_fail st "bad escape")
+      | c ->
+          Buffer.add_char buf c;
+          st.pos <- st.pos + 1;
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
 
 let parse_number st =
   let start = st.pos in
@@ -215,12 +242,13 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
+  if st.pos >= String.length st.src then
+    parse_fail st "unexpected end of input";
   match peek st with
-  | None -> parse_fail st "unexpected end of input"
-  | Some '{' ->
+  | '{' ->
       st.pos <- st.pos + 1;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if peek st = '}' then begin
         st.pos <- st.pos + 1;
         Obj []
       end
@@ -235,17 +263,17 @@ let rec parse_value st =
           fields := (k, v) :: !fields;
           skip_ws st;
           match peek st with
-          | Some ',' -> st.pos <- st.pos + 1; members ()
-          | Some '}' -> st.pos <- st.pos + 1
+          | ',' -> st.pos <- st.pos + 1; members ()
+          | '}' -> st.pos <- st.pos + 1
           | _ -> parse_fail st "expected ',' or '}'"
         in
         members ();
         Obj (List.rev !fields)
       end
-  | Some '[' ->
+  | '[' ->
       st.pos <- st.pos + 1;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if peek st = ']' then begin
         st.pos <- st.pos + 1;
         Arr []
       end
@@ -256,19 +284,19 @@ let rec parse_value st =
           items := v :: !items;
           skip_ws st;
           match peek st with
-          | Some ',' -> st.pos <- st.pos + 1; elements ()
-          | Some ']' -> st.pos <- st.pos + 1
+          | ',' -> st.pos <- st.pos + 1; elements ()
+          | ']' -> st.pos <- st.pos + 1
           | _ -> parse_fail st "expected ',' or ']'"
         in
         elements ();
         Arr (List.rev !items)
       end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> parse_fail st (Printf.sprintf "unexpected '%c'" c)
+  | '"' -> Str (parse_string st)
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | 'n' -> parse_literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> parse_fail st (Printf.sprintf "unexpected '%c'" c)
 
 let of_string s =
   let st = { src = s; pos = 0 } in

@@ -6,24 +6,6 @@
 
 let clock () = Int64.to_int (Monotonic_clock.now ())
 
-(* Collapse digit runs so per-instance fiber names ("thread-17", "req-409",
-   "msg-handler-n3") aggregate into a bounded label set. *)
-let normalize name =
-  let n = String.length name in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if name.[!i] >= '0' && name.[!i] <= '9' then begin
-      Buffer.add_char b '*';
-      while !i < n && name.[!i] >= '0' && name.[!i] <= '9' do incr i done
-    end
-    else begin
-      Buffer.add_char b name.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 type stat = {
   mutable st_events : int;
   mutable st_self_ns : int;
@@ -58,7 +40,7 @@ type t = {
   labels : (string * string option, stat) Hashtbl.t;
   (* Per-boot cache: engine label id -> stat. Engine labels are dense ints
      minted per engine, so after the first event of each distinct label the
-     hot path is one array read — no string normalization, no hashing.
+     hot path is one array read, with no hashing.
      Reset on [attach]: a fresh engine is a fresh id space. *)
   mutable by_label : stat option array;
   mutable boots : int;
@@ -98,7 +80,7 @@ let create ?(sample_every = Sim.Time.us 100) () =
   }
 
 let stat t ~name ~tag =
-  let key = (normalize name, tag) in
+  let key = (name, tag) in
   match Hashtbl.find_opt t.labels key with
   | Some s -> s
   | None ->
@@ -109,8 +91,8 @@ let stat t ~name ~tag =
       s
 
 (* Cold path: first event of a label this boot. Resolve the engine's label
-   id to its (name, tag), normalize, and cache the accumulator cell so
-   every later event of this label is an array read. *)
+   id to its (name, tag) and cache the accumulator cell so every later
+   event of this label is an array read. *)
 let resolve t eng (lbl : Sim.Engine.label) =
   let n = (lbl :> int) in
   if n >= Array.length t.by_label then begin

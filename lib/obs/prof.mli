@@ -5,12 +5,12 @@
     host} second go while the simulator runs? It plugs into the engine's
     observer hook ({!Sim.Engine.set_observer}) and, per event, attributes
     monotonic wall-clock self-time, an event count and GC minor/major-word
-    deltas to the event's label — the [as_fiber] name (digit runs collapsed
-    to ["*"] so ["thread-17"] and ["thread-4093"] aggregate as
-    ["thread-*"]) plus the spawn site's subsystem tag. It also samples
-    scheduler-introspection series over virtual time: event-heap depth
-    (current and high-water), fiber park/resume totals, dead wait-queue
-    entries and buffered channel items.
+    deltas to the event's label — the fiber's name, which names a kind of
+    fiber ("thread", "req"; see {!Sim.Engine.label}), plus the spawn
+    site's subsystem tag. It also samples scheduler-introspection series
+    over virtual time: event-heap depth (current and high-water), fiber
+    park/resume totals, dead wait-queue entries and buffered channel
+    items.
 
     Profiling is off by default and provably inert when off: with no
     observer installed the engine pays one [option] check per event, and
@@ -47,7 +47,7 @@ val boots : t -> int
     per event, which is included — use [popcornsim profile --overhead] to
     bound it). *)
 type row = {
-  name : string;  (** normalized fiber name, digit runs collapsed to ["*"] *)
+  name : string;  (** the fiber's label name, as spawned *)
   tag : string option;  (** subsystem tag from the spawn site *)
   events : int;
   self_ns : int;

@@ -77,6 +77,11 @@ let render_path b indent (p : Critpath.path) =
     (if sum = p.Critpath.total_ns then ", sum exact"
      else Printf.sprintf ", SUM MISMATCH %d" sum)
 
+(* The causal/critical-path report for one dataset: span and message
+   counts, per-subsystem self time, the worst-case & SLO block, the
+   per-root-kind critical-path summary, and the segment listing of the
+   slowest migration and thread-group-create. All of it reads one
+   [Critpath.t] built for the dataset. *)
 let render_analysis (d : dataset) =
   let b = Buffer.create 4096 in
   buf_addf b "== %s ==\n" d.label;

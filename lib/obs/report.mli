@@ -23,16 +23,6 @@ val datasets_of_doc : Json.t -> dataset list
     yield one dataset per experiment that recorded spans; Chrome traces
     yield a single dataset. Unrecognized documents yield []. *)
 
-val render_analysis : dataset -> string
-(** The causal/critical-path report for one dataset: span and message
-    counts, per-subsystem self time, the worst-case & SLO block
-    ({!Slo.render}: exact worst-case latency per root kind, the worst
-    path's phase budget, deadline met/violated counters), per-root-kind
-    critical-path summary, and the full segment listing of the slowest
-    migration and thread-group-create (whose segment durations sum
-    exactly to the root's end-to-end latency). All of it reads one
-    {!Critpath.t} built for the dataset. *)
-
 val analyze_doc : Json.t -> (string, string) result
 (** Full report over every dataset in the document; [Error] when the
     document contains nothing analyzable. *)

@@ -1,58 +1,61 @@
-type 'a cell = { at : Time.t; seq : int; v : 'a }
+(* Three parallel arrays: [at] and [seq] hold the keys unboxed, [v] the
+   payloads. A push allocates nothing (until the arrays double), and
+   comparing two entries reads two int arrays. Sifting moves a hole rather
+   than swapping: each level of a sift writes one key pair and one payload,
+   and the moving entry is written once, where the hole stops. *)
 
 type 'a t = {
-  mutable a : 'a cell array;
+  mutable at : Time.t array;
+  mutable seq : int array;
+  mutable v : 'a array;
   mutable n : int;
   mutable max_n : int;
-  dummy : 'a cell option;
-      (** When set, [pop] overwrites the slot it vacates with this cell, so
-          the heap never retains a reference to an already-executed payload
-          (event closures can pin whole object graphs through their captured
-          continuations). Without it, vacated slots keep their old cell. *)
+  dummy : 'a option;
+      (** When set, [pop] overwrites the payload slot it vacates with this
+          value, so the heap never retains a reference to an already-popped
+          payload (event payloads can pin whole object graphs through the
+          continuations they carry). Without it, vacated slots keep their
+          old payload. *)
 }
 
 let create ?dummy () =
-  {
-    a = [||];
-    n = 0;
-    max_n = 0;
-    dummy = Option.map (fun v -> { at = 0; seq = 0; v }) dummy;
-  }
+  { at = [||]; seq = [||]; v = [||]; n = 0; max_n = 0; dummy }
 
-let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
-
-let grow t =
-  let cap = Array.length t.a in
+(* Double the arrays; [x] fills the fresh payload slots when there is no
+   dummy (they are never read: [n] bounds access). *)
+let grow t x =
+  let cap = Array.length t.at in
   let ncap = if cap = 0 then 16 else 2 * cap in
-  (* Fresh slots are never observed ([n] bounds access); fill them with the
-     dummy when there is one so they hold no live payload. *)
-  let fill = match t.dummy with Some d -> d | None -> t.a.(0) in
-  let a' = Array.make ncap fill in
-  Array.blit t.a 0 a' 0 t.n;
-  t.a <- a'
+  let at' = Array.make ncap 0 and seq' = Array.make ncap 0 in
+  let v' = Array.make ncap (match t.dummy with Some d -> d | None -> x) in
+  Array.blit t.at 0 at' 0 t.n;
+  Array.blit t.seq 0 seq' 0 t.n;
+  Array.blit t.v 0 v' 0 t.n;
+  t.at <- at';
+  t.seq <- seq';
+  t.v <- v'
 
-let push t ~at ~seq v =
-  let c = { at; seq; v } in
-  if t.n = 0 && Array.length t.a = 0 then
-    t.a <- Array.make 16 (match t.dummy with Some d -> d | None -> c);
-  if t.n = Array.length t.a then grow t;
-  t.a.(t.n) <- c;
+let push t ~at ~seq x =
+  if t.n = Array.length t.at then grow t x;
+  let i = ref t.n in
   t.n <- t.n + 1;
   if t.n > t.max_n then t.max_n <- t.n;
-  (* sift up *)
-  let i = ref (t.n - 1) in
-  while
-    !i > 0
-    &&
+  (* sift the hole up from the new last slot *)
+  let continue = ref true in
+  while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
-    before t.a.(!i) t.a.(p)
-  do
-    let p = (!i - 1) / 2 in
-    let tmp = t.a.(p) in
-    t.a.(p) <- t.a.(!i);
-    t.a.(!i) <- tmp;
-    i := p
-  done
+    let pat = t.at.(p) in
+    if at < pat || (at = pat && seq < t.seq.(p)) then begin
+      t.at.(!i) <- pat;
+      t.seq.(!i) <- t.seq.(p);
+      t.v.(!i) <- t.v.(p);
+      i := p
+    end
+    else continue := false
+  done;
+  t.at.(!i) <- at;
+  t.seq.(!i) <- seq;
+  t.v.(!i) <- x
 
 (* Raw pop: removes the root and returns only its payload. The engine's
    dispatch loop pairs this with [next_at], so the hot path allocates
@@ -60,44 +63,53 @@ let push t ~at ~seq v =
    want the key too. *)
 let pop_exn t =
   if t.n = 0 then invalid_arg "Eheap.pop_exn: empty";
-  let root = t.a.(0) in
-  t.n <- t.n - 1;
-  (match t.dummy with
-  | Some d ->
-      let last = t.a.(t.n) in
-      t.a.(t.n) <- d;
-      if t.n > 0 then t.a.(0) <- last
-  | None -> if t.n > 0 then t.a.(0) <- t.a.(t.n));
-  if t.n > 0 then begin
-    (* sift down *)
+  let root = t.v.(0) in
+  let n = t.n - 1 in
+  t.n <- n;
+  (* Sift the last entry down from the root's hole. *)
+  let at = t.at.(n) and seq = t.seq.(n) and x = t.v.(n) in
+  (match t.dummy with Some d -> t.v.(n) <- d | None -> ());
+  if n > 0 then begin
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.n && before t.a.(l) t.a.(!smallest) then smallest := l;
-      if r < t.n && before t.a.(r) t.a.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
       else begin
-        let tmp = t.a.(!smallest) in
-        t.a.(!smallest) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := !smallest
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (t.at.(r) < t.at.(l)
+               || (t.at.(r) = t.at.(l) && t.seq.(r) < t.seq.(l)))
+          then r
+          else l
+        in
+        let cat = t.at.(c) in
+        if cat < at || (cat = at && t.seq.(c) < seq) then begin
+          t.at.(!i) <- cat;
+          t.seq.(!i) <- t.seq.(c);
+          t.v.(!i) <- t.v.(c);
+          i := c
+        end
+        else continue := false
       end
-    done
+    done;
+    t.at.(!i) <- at;
+    t.seq.(!i) <- seq;
+    t.v.(!i) <- x
   end;
-  root.v
+  root
 
 let pop t =
   if t.n = 0 then None
   else begin
-    let root = t.a.(0) in
-    let at = root.at and seq = root.seq in
+    let at = t.at.(0) and seq = t.seq.(0) in
     let v = pop_exn t in
     Some (at, seq, v)
   end
 
-let next_at t = if t.n = 0 then -1 else t.a.(0).at
+let next_at t = if t.n = 0 then -1 else t.at.(0)
 let length t = t.n
 let max_length t = t.max_n
 let is_empty t = t.n = 0

@@ -2,15 +2,20 @@
 
     The sequence number makes ordering total and stable: two events scheduled
     for the same instant fire in scheduling order, which keeps simulations
-    deterministic. *)
+    deterministic.
+
+    Layout: three parallel arrays, the times and sequence numbers unboxed
+    in two [int array]s and the payloads in a third. A push allocates
+    nothing until the arrays double; sifting moves a hole, writing one key
+    pair and one payload per level. *)
 
 type 'a t
 
 val create : ?dummy:'a -> unit -> 'a t
-(** [dummy], when given, is used to overwrite heap slots as they are
+(** [dummy], when given, is used to overwrite payload slots as they are
     vacated, so the heap never retains a reference to a payload it already
-    popped. Engine event closures capture fiber continuations — without a
-    dummy, a drained heap can pin the entire object graph of the last
+    popped. Engine events hold closures and fiber continuations — without
+    a dummy, a drained heap can pin the entire object graph of the last
     events it executed. *)
 
 val push : 'a t -> at:Time.t -> seq:int -> 'a -> unit

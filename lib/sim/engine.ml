@@ -1,14 +1,21 @@
 (* Each queued event carries an interned label: the id of its fiber's
-   ([as_fiber] name, subsystem tag) pair in this engine's label table.
-   Labels cost one int per scheduled event and never influence ordering, so
-   simulated behaviour is identical whether or not anyone reads them — they
-   exist for the profiling observer below. Interning happens once per
-   distinct (name, tag) at spawn time; the hot paths (every Sleep/Suspend
-   reschedule, every observer callback) only ever touch the int. *)
+   (name, subsystem tag) pair in this engine's label table. Labels never
+   influence ordering, so simulated behaviour is identical whether or not
+   anyone reads them; they exist for error messages and the profiling
+   observer below. A label names a kind of fiber, so a table holds a few
+   dozen entries however many fibers a run starts.
+
+   An event is what the dispatcher does next: run a thunk (a callback, or
+   a spawned fiber's entry, which installs the fiber handler), or continue
+   a parked fiber's continuation. Queueing the continuation itself saves
+   the closure a resume would otherwise build around it. *)
 
 type label = int
 
-type event = { ev_label : label; ev_run : unit -> unit }
+type event =
+  | Run of label * (unit -> unit)
+  | Wake of label * (unit, unit) Effect.Deep.continuation
+  | Resume : label * ('a, unit) Effect.Deep.continuation * 'a -> event
 
 (** Host-side hooks invoked around event execution; see the .mli. *)
 type observer = {
@@ -26,13 +33,20 @@ type t = {
   rng : Prng.t;
   mutable processed : int;
   mutable observer : observer option;
-  (* Label interner: ids are dense, per-engine, minted at spawn/schedule
-     time; the reverse arrays resolve them for error messages and
-     profiling reports. *)
+  (* Label interner: ids are dense, per-engine, minted at spawn time; the
+     reverse arrays resolve them for error messages and profiling
+     reports. *)
   labels : (string * string option, label) Hashtbl.t;
   mutable label_names : string array;
   mutable label_tags : string option array;
   mutable nlabels : int;
+  mutable cur : label;  (** label of the event being executed *)
+  mutable callback_label : label;
+      (** the label of every {!schedule}d callback; -1 until the first
+          one, so a boot that schedules none interns nothing *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (** the fiber handler, shared by every fiber of this engine: it
+          reads the fiber's label from [cur] *)
   (* Scheduler introspection, maintained unconditionally (plain integer
      arithmetic in simulated-deterministic order, so it can never perturb a
      run): fiber park/resume totals, aggregate dead wait-queue entries and
@@ -50,43 +64,6 @@ exception Fiber_failure of string * exn
 type _ Effect.t +=
   | Sleep : t * Time.t -> unit Effect.t
   | Suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
-
-let create ?(seed = 42) () =
-  {
-    now = Time.zero;
-    (* The dummy lets the queue clear vacated slots: an executed event's
-       closure captures its continuation, which can pin the whole object
-       graph the fiber touches (machine, cluster) long after it ran. *)
-    queue = Eheap.create ~dummy:{ ev_label = 0; ev_run = ignore } ();
-    seq = 0;
-    seed;
-    rng = Prng.create ~seed;
-    processed = 0;
-    observer = None;
-    labels = Hashtbl.create 64;
-    label_names = [||];
-    label_tags = [||];
-    nlabels = 0;
-    parks = 0;
-    resumes = 0;
-    waitq_dead = 0;
-    waitq_dead_max = 0;
-    chan_queued = 0;
-    chan_queued_max = 0;
-  }
-
-let now t = t.now
-let rng t = t.rng
-let seed t = t.seed
-let events_processed t = t.processed
-let queue_length t = Eheap.length t.queue
-let queue_max_length t = Eheap.max_length t.queue
-let parks t = t.parks
-let resumes t = t.resumes
-let waitq_dead t = t.waitq_dead
-let waitq_dead_max t = t.waitq_dead_max
-let chan_queued t = t.chan_queued
-let chan_queued_max t = t.chan_queued_max
 
 let label t ?tag name =
   let key = (name, tag) in
@@ -112,6 +89,87 @@ let label t ?tag name =
 let label_name t id = t.label_names.(id)
 let label_tag t id = t.label_tags.(id)
 
+let push_event t ~after ev =
+  assert (after >= 0);
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  Eheap.push t.queue ~at:(Time.add t.now after) ~seq ev
+
+(* The handler that turns Sleep/Suspend into engine events. A fiber is
+   wrapped once, at its entry point; the continuation keeps the handler,
+   and its events inherit the fiber's label (read from [cur] when the
+   fiber parks), which is what lets the profiler attribute every host
+   nanosecond of a fiber's life to its name, not just its first slice. *)
+let fiber_handler t : (unit, unit) Effect.Deep.handler =
+  {
+    retc = ignore;
+    exnc = (fun e -> raise (Fiber_failure (label_name t t.cur, e)));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Sleep (eng, dt) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                push_event eng ~after:dt (Wake (eng.cur, k)))
+        | Suspend (eng, register) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                eng.parks <- eng.parks + 1;
+                let lbl = eng.cur in
+                let fired = ref false in
+                register (fun v ->
+                    if not !fired then begin
+                      fired := true;
+                      eng.resumes <- eng.resumes + 1;
+                      push_event eng ~after:0 (Resume (lbl, k, v))
+                    end))
+        | _ -> None);
+  }
+
+let create ?(seed = 42) () =
+  let t =
+    {
+      now = Time.zero;
+      (* The dummy lets the queue clear vacated slots: an executed event
+         holds its closure or continuation, which can pin the whole object
+         graph the fiber touches (machine, cluster) long after it ran. *)
+      queue = Eheap.create ~dummy:(Run (0, ignore)) ();
+      seq = 0;
+      seed;
+      rng = Prng.create ~seed;
+      processed = 0;
+      observer = None;
+      labels = Hashtbl.create 16;
+      label_names = [||];
+      label_tags = [||];
+      nlabels = 0;
+      cur = 0;
+      callback_label = -1;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+      parks = 0;
+      resumes = 0;
+      waitq_dead = 0;
+      waitq_dead_max = 0;
+      chan_queued = 0;
+      chan_queued_max = 0;
+    }
+  in
+  t.handler <- fiber_handler t;
+  t
+
+let now t = t.now
+let rng t = t.rng
+let seed t = t.seed
+let events_processed t = t.processed
+let queue_length t = Eheap.length t.queue
+let queue_max_length t = Eheap.max_length t.queue
+let parks t = t.parks
+let resumes t = t.resumes
+let waitq_dead t = t.waitq_dead
+let waitq_dead_max t = t.waitq_dead_max
+let chan_queued t = t.chan_queued
+let chan_queued_max t = t.chan_queued_max
+
 module Introspect = struct
   let waitq_dead_add t n =
     t.waitq_dead <- t.waitq_dead + n;
@@ -123,59 +181,30 @@ module Introspect = struct
       t.chan_queued_max <- t.chan_queued
 end
 
-let push_event t ~after ~label run =
-  assert (after >= 0);
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  Eheap.push t.queue
-    ~at:(Time.add t.now after)
-    ~seq
-    { ev_label = label; ev_run = run }
-
-(* Wrap a thunk in the effect handler that turns Sleep/Suspend into engine
-   events. The continuation keeps the handler, so a fiber only needs wrapping
-   once, at its entry point; continuation events inherit the fiber's label,
-   which is what lets the profiler attribute every host nanosecond of a
-   fiber's life to its name, not just its first slice. *)
-let as_fiber t lbl f =
-  let open Effect.Deep in
-  fun () ->
-    match_with f ()
-      {
-        retc = (fun () -> ());
-        exnc = (fun e -> raise (Fiber_failure (label_name t lbl, e)));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Sleep (eng, dt) ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    push_event eng ~after:dt ~label:lbl (fun () ->
-                        continue k ()))
-            | Suspend (eng, register) ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    eng.parks <- eng.parks + 1;
-                    let fired = ref false in
-                    register (fun v ->
-                        if not !fired then begin
-                          fired := true;
-                          eng.resumes <- eng.resumes + 1;
-                          push_event eng ~after:0 ~label:lbl (fun () ->
-                              continue k v)
-                        end))
-            | _ -> None);
-      }
-
-let schedule_label t lbl ~after f = push_event t ~after ~label:lbl (as_fiber t lbl f)
-let spawn_label t lbl f = push_event t ~after:0 ~label:lbl (as_fiber t lbl f)
-
-let schedule t ?(name = "callback") ?tag ~after f =
-  schedule_label t (label t ?tag name) ~after f
+let spawn_label t lbl f =
+  push_event t ~after:0
+    (Run (lbl, fun () -> Effect.Deep.match_with f () t.handler))
 
 let spawn t ?(name = "fiber") ?tag f = spawn_label t (label t ?tag name) f
 
+let schedule t ~after f =
+  if t.callback_label < 0 then t.callback_label <- label t "callback";
+  push_event t ~after (Run (t.callback_label, f))
+
 let set_observer t ob = t.observer <- ob
+
+let event_label = function Run (l, _) | Wake (l, _) | Resume (l, _, _) -> l
+
+let exec t = function
+  | Run (l, f) ->
+      t.cur <- l;
+      f ()
+  | Wake (l, k) ->
+      t.cur <- l;
+      Effect.Deep.continue k ()
+  | Resume (l, k, v) ->
+      t.cur <- l;
+      Effect.Deep.continue k v
 
 let run ?until t =
   (match t.observer with
@@ -203,14 +232,14 @@ let run ?until t =
           while Eheap.next_at t.queue = at do
             let ev = Eheap.pop_exn t.queue in
             t.processed <- t.processed + 1;
-            ev.ev_run ()
+            exec t ev
           done
       | Some ob ->
           while Eheap.next_at t.queue = at do
             let ev = Eheap.pop_exn t.queue in
             t.processed <- t.processed + 1;
-            ob.on_event ~label:ev.ev_label ~now:at;
-            ev.ev_run ();
+            ob.on_event ~label:(event_label ev) ~now:at;
+            exec t ev;
             ob.on_event_done ()
           done
     end

@@ -16,7 +16,8 @@ type t
 
 exception Fiber_failure of string * exn
 (** Raised out of {!run} when a fiber terminates with an uncaught exception.
-    The string is the fiber's name. *)
+    The string is the name of the fiber's label, which names its kind
+    (see {!label}). *)
 
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at zero. [seed] (default 42) seeds {!rng}. *)
@@ -41,13 +42,20 @@ val events_processed : t -> int
     belongs to, interned per engine into a dense int id. Hot paths — the
     scheduler, the profiling observer — carry only the id; the strings are
     resolved on demand. Ids are engine-local: never mix labels across
-    engines. *)
+    engines.
+
+    A label names a {e kind} of fiber ("req", "thread", "msg-handler"),
+    never an instance: no request number, tid or node id in the name. An
+    engine keeps every label it interned until it is dropped, so a
+    per-instance name would grow its table with every fiber started.
+    Profiles aggregate by label, and {!Fiber_failure} names the kind. *)
 
 type label = private int
 
 val label : t -> ?tag:string -> string -> label
-(** Intern (or look up) the id for [(name, tag)]. Call once and reuse the
-    result ({!spawn_label}) when spawning the same label repeatedly. *)
+(** Intern (or look up) the id for [(name, tag)]. A site that spawns per
+    request or per thread calls this once and reuses the result
+    ({!spawn_label}). *)
 
 val label_name : t -> label -> string
 val label_tag : t -> label -> string option
@@ -96,11 +104,16 @@ end
 
 (** {1 Scheduling} *)
 
-val schedule : t -> ?name:string -> ?tag:string -> after:Time.t -> (unit -> unit) -> unit
-(** Run a plain callback [after] nanoseconds from now. The callback runs
-    under the fiber handler, so it may itself sleep or suspend. [name]
-    (default ["callback"]) and [tag] label the event for the profiling
-    observer, exactly as in {!spawn}. *)
+val schedule : t -> after:Time.t -> (unit -> unit) -> unit
+(** Run a plain callback [after] nanoseconds from now.
+
+    {b Contract}: the callback runs outside any fiber, so it must not
+    sleep or suspend; if it does, {!run} raises [Effect.Unhandled]. It
+    may spawn fibers, resume parked ones and schedule further events.
+    Code that blocks is started with {!spawn} (and {!sleep}s first to
+    start later). An exception a callback raises propagates out of {!run}
+    unchanged. Every callback carries the one label ["callback"],
+    interned at the engine's first [schedule]. *)
 
 val spawn : t -> ?name:string -> ?tag:string -> (unit -> unit) -> unit
 (** Start a new fiber at the current instant. [name] (default ["fiber"])
@@ -109,12 +122,9 @@ val spawn : t -> ?name:string -> ?tag:string -> (unit -> unit) -> unit
     ["popcorn"]) that groups labels in profile reports. *)
 
 val spawn_label : t -> label -> (unit -> unit) -> unit
-(** {!spawn} with a pre-interned label: the hot-path form for sites that
-    start the same kind of fiber per message/request and must not rebuild
-    the name string or re-hash it each time. *)
-
-val schedule_label : t -> label -> after:Time.t -> (unit -> unit) -> unit
-(** {!schedule} with a pre-interned label. *)
+(** {!spawn} with a pre-interned label: the form for sites that start the
+    same kind of fiber per message, request or thread, which must not
+    re-hash its name each time. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events until the queue is empty, or until the clock would pass
@@ -126,7 +136,7 @@ val run : ?until:Time.t -> t -> unit
 (** {1 Fiber operations}
 
     These must be called from inside a fiber (i.e. from code started via
-    {!spawn} or {!schedule}). *)
+    {!spawn}), never from a {!schedule}d callback. *)
 
 val sleep : t -> Time.t -> unit
 (** Advance this fiber's virtual time by the given duration. *)

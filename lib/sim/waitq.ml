@@ -102,7 +102,7 @@ type 'a timed = Signalled of 'a | Timed_out
 let wait_timeout eng t ~timeout =
   Engine.suspend eng (fun resume ->
       let entry = push t (fun v -> resume (Signalled v)) in
-      Engine.schedule eng ~name:"timeout" ~after:timeout (fun () ->
+      Engine.schedule eng ~after:timeout (fun () ->
           if is_active entry then begin
             cancel entry;
             resume Timed_out

@@ -37,15 +37,10 @@ val length : 'a t -> int
 
 val dead_count : 'a t -> int
 (** Cancelled entries still occupying queue slots. They are purged lazily —
-    when they reach the head, or by {!compact} as soon as they outnumber
+    when they reach the head, or all at once as soon as they outnumber
     the live entries — so the count is bounded by the number of active
     waiters and a timeout storm can no longer grow the queue without
     bound. *)
-
-val compact : 'a t -> unit
-(** Drop every dead entry now, preserving the order of live ones.
-    {!cancel} calls this automatically once [2 * dead_count > queue slots];
-    exposed for tests and for callers that want memory back eagerly. *)
 
 val is_empty : 'a t -> bool
 

@@ -33,8 +33,7 @@ let compute th dt = K.Sched.compute_on th.sys.Smp_os.sched (current_core th) dt
 let spawn th body : K.Ids.tid =
   let task = Smp_os.clone th.sys th.proc ~core:(current_core th) in
   let child = { sys = th.sys; proc = th.proc; task } in
-  Engine.spawn (Smp_os.eng th.sys) ~tag:"smp"
-    ~name:(Printf.sprintf "smp-thread-%d" task.K.Task.tid)
+  Engine.spawn_label (Smp_os.eng th.sys) th.sys.Smp_os.thread_label
     (fun () ->
       schedule_in child;
       Engine.sleep (Smp_os.eng th.sys)
@@ -68,8 +67,7 @@ let futex_wake th ~addr ~count =
 let fork th main : Smp_os.process =
   let child, task = Smp_os.fork th.sys th.proc ~core:(current_core th) in
   let cth = { sys = th.sys; proc = child; task } in
-  Engine.spawn (Smp_os.eng th.sys) ~tag:"smp"
-    ~name:(Printf.sprintf "smp-proc-%d-main" child.Smp_os.pid)
+  Engine.spawn_label (Smp_os.eng th.sys) th.sys.Smp_os.main_label
     (fun () ->
       schedule_in cth;
       Engine.sleep (Smp_os.eng th.sys)
@@ -84,8 +82,7 @@ let fork th main : Smp_os.process =
 let start_process sys main : Smp_os.process =
   let proc, task = Smp_os.create_process sys in
   let th = { sys; proc; task } in
-  Engine.spawn (Smp_os.eng sys) ~tag:"smp"
-    ~name:(Printf.sprintf "smp-proc-%d-main" proc.Smp_os.pid)
+  Engine.spawn_label (Smp_os.eng sys) sys.Smp_os.main_label
     (fun () ->
       schedule_in th;
       Engine.sleep (Smp_os.eng sys) (Smp_os.params sys).Hw.Params.context_switch;

@@ -33,6 +33,10 @@ type t = {
   futex_buckets : Hw.Spinlock.t array;
   procs : (K.Ids.pid, process) Hashtbl.t;
   tasks : (K.Ids.tid, K.Task.t) Hashtbl.t;
+  (* The engine labels of thread and process-main fibers, interned at
+     boot so a spawn hashes nothing. *)
+  thread_label : Engine.label;
+  main_label : Engine.label;
 }
 
 let n_futex_buckets = 64
@@ -54,6 +58,8 @@ let boot (machine : Hw.Machine.t) : t =
             ~name:(Printf.sprintf "futex_bucket.%d" i));
     procs = Hashtbl.create 16;
     tasks = Hashtbl.create 256;
+    thread_label = Engine.label eng ~tag:"smp" "smp-thread";
+    main_label = Engine.label eng ~tag:"smp" "smp-proc-main";
   }
 
 let eng t = t.machine.Hw.Machine.eng

@@ -33,6 +33,10 @@ type t = {
   futex_buckets : Hw.Spinlock.t array;
   procs : (K.Ids.pid, process) Hashtbl.t;
   tasks : (K.Ids.tid, K.Task.t) Hashtbl.t;
+  (* The engine labels of thread and process-main fibers, interned at
+     boot so a spawn hashes nothing. *)
+  thread_label : Engine.label;
+  main_label : Engine.label;
 }
 
 val boot : Hw.Machine.t -> t

@@ -26,9 +26,6 @@ val fmt_ns : float -> string
 val fmt_rate : float -> string
 (** Adaptive ops/s rendering (K/M suffixes). *)
 
-val fmt_f : float -> string
-(** Two-decimal float. *)
-
 val series :
   title:string -> x_label:string -> (string * (float * float) list) list -> t
 (** [series ~title ~x_label curves] builds a table with one row per distinct

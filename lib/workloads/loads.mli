@@ -5,12 +5,6 @@
     on Popcorn, while SMP ignores placement. *)
 
 module Make (Os : Os_intf.S) : sig
-  val run_workers :
-    Sim.Engine.t -> Os.thread -> workers:int -> (int -> Os.thread -> unit) ->
-    unit
-  (** Spawn [workers] group members (worker [i] on place [i mod places])
-      and join them. *)
-
   val spawn_storm :
     Sim.Engine.t -> Os.thread -> spawners:int -> per_spawner:int -> unit
   (** F2: concurrent thread-creation storm. *)

@@ -40,12 +40,11 @@ let run cluster dispatcher config =
   (* The generator never waits for outcomes: arrival [i] fires
      [interarrival i] after arrival [i-1], full stop. Each request rides
      its own fiber so a slow placement delays nothing but itself. *)
+  let req = Engine.label eng ~tag:"workload" "req" in
   Engine.spawn eng ~tag:"workload" ~name:"server-gen" (fun () ->
       for i = 1 to config.requests do
         Engine.sleep eng (config.interarrival i);
-        Engine.spawn eng ~tag:"workload"
-          ~name:(Printf.sprintf "req-%d" i)
-          (fun () ->
+        Engine.spawn_label eng req (fun () ->
             let t0 = Engine.now eng in
             (match
                Popcorn.Placement.dispatch ?deadline:config.deadline_ns

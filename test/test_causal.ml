@@ -610,6 +610,62 @@ let test_json_malformed_edges () =
   | Ok _ -> Alcotest.fail "duplicate keys parsed to a non-object"
   | Error e -> Alcotest.failf "duplicate keys rejected: %s" e
 
+(* Writing, parsing and writing again reproduces the first text, for
+   documents whose strings (values and keys) hold quotes, backslashes,
+   every control byte and multi-byte UTF-8 — the bytes the parser's
+   escape-free fast path must hand over to its escape decoder. Floats are
+   quarters, which [%.12g] prints exactly. *)
+let prop_json_roundtrip =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, map (String.make 1) (char_range 'a' 'z'));
+        (2, map (String.make 1) (oneofl [ '"'; '\\'; '/'; '\127' ]));
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_bound 0x1f));
+        (1, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e" ]);
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_bound 12) piece) in
+  let leaf =
+    frequency
+      [
+        (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (2, map (fun i -> Obs.Json.Int i) (oneof [ small_signed_int; int ]));
+        ( 2,
+          map
+            (fun k -> Obs.Json.Float (float_of_int k /. 4.))
+            (int_range (-1_000_000) 1_000_000) );
+        (4, map (fun s -> Obs.Json.Str s) str);
+      ]
+  in
+  let doc =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 2,
+                   map
+                     (fun l -> Obs.Json.Arr l)
+                     (list_size (int_bound 4) (self (n / 4))) );
+                 ( 2,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n / 4)))) );
+               ])
+  in
+  QCheck.Test.make ~name:"json write/parse/write round-trips" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string doc)
+    (fun j ->
+      let s = Obs.Json.to_string j in
+      match Obs.Json.of_string s with
+      | Ok j' -> Obs.Json.to_string j' = s
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" e s)
+
 (* --- trace ring retained counter --- *)
 
 let test_trace_retained_o1 () =
@@ -785,7 +841,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_json_parser_rejects_garbage;
           Alcotest.test_case "malformed edges" `Quick test_json_malformed_edges;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_json_roundtrip ] );
       ( "satellites",
         [
           Alcotest.test_case "trace retained O(1)" `Quick test_trace_retained_o1;

@@ -366,6 +366,23 @@ let test_r2_parallel_equivalence () =
       Alcotest.(check string) "metrics identical" (metrics serial) (metrics o))
     outcomes
 
+(* Every engine R2 boots stays alive until its run ends (the run keeps
+   them to count events), and so does every label it interned. A label
+   names a kind of fiber, so each engine's table stays a few dozen
+   entries long however many requests its cell serves: the next fresh
+   label's id is the table's size. *)
+let test_r2_labels_bounded () =
+  let spec = Option.get (Experiments.Registry.find "R2") in
+  let ctx = ctx () in
+  ignore (spec.Experiments.Registry.run ctx);
+  Alcotest.(check bool) "R2 booted engines" true
+    (ctx.Experiments.Run_ctx.engines <> []);
+  List.iter
+    (fun eng ->
+      let id = (Engine.label eng "fresh-label" :> int) in
+      if id >= 64 then Alcotest.failf "engine interned %d labels" id)
+    ctx.Experiments.Run_ctx.engines
+
 let () =
   Alcotest.run "health"
     [
@@ -412,5 +429,10 @@ let () =
             test_r2_same_seed_same_transitions;
           Alcotest.test_case "parallel runs bit-identical" `Quick
             test_r2_parallel_equivalence;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "R2 engines intern a bounded label set" `Quick
+            test_r2_labels_bounded;
         ] );
     ]

@@ -106,7 +106,8 @@ let test_spinlock_fifo () =
       Engine.sleep eng (Time.us 10);
       Hw.Spinlock.release lock);
   for i = 1 to 4 do
-    Engine.schedule eng ~after:(i * 100) (fun () ->
+    Engine.spawn eng (fun () ->
+        Engine.sleep eng (i * 100);
         Hw.Spinlock.acquire lock ~core:i;
         order := i :: !order;
         Hw.Spinlock.release lock)
@@ -208,6 +209,104 @@ let prop_memory_alloc_free_roundtrip =
         script;
       Hw.Memory.used_count mem = List.length !held)
 
+(* [Hw.Memory] against the eager allocator it replaced: per socket, a
+   stack of every frame in ascending order, freed frames pushed on top,
+   the other sockets tried in ascending order when the preferred one is
+   empty. 300 frames per socket take each socket's lazy bitmap through
+   several doublings (64, 128, 256, then capped at 300) and out of frames.
+   [Bad f] frees a frame the model holds free: freed twice, or never
+   handed out (at or above the bump cursor). *)
+type mem_op = Alloc of int | Free of int | Bad of int
+
+let prop_memory_matches_eager_model =
+  let sockets = 2 and fps = 300 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (7, map (fun n -> Alloc n) (int_bound (sockets - 1)));
+          (2, map (fun i -> Free i) (int_bound 1000));
+          (1, map (fun f -> Bad f) (int_bound ((sockets * fps) - 1)));
+        ])
+  in
+  let print = function
+    | Alloc n -> Printf.sprintf "Alloc %d" n
+    | Free i -> Printf.sprintf "Free %d" i
+    | Bad f -> Printf.sprintf "Bad %d" f
+  in
+  QCheck.Test.make ~name:"memory matches the eager LIFO-then-ascending model"
+    ~count:100
+    QCheck.(
+      make
+        ~print:Print.(list print)
+        Gen.(list_size (int_range 1 2000) op))
+    (fun ops ->
+      let topo = Hw.Topology.create ~sockets ~cores_per_socket:1 in
+      let mem = Hw.Memory.create topo ~frames_per_socket:fps in
+      let free =
+        Array.init sockets (fun s -> List.init fps (fun i -> (s * fps) + i))
+      in
+      let held = ref [] in
+      let model_alloc node =
+        let take s =
+          match free.(s) with
+          | f :: rest ->
+              free.(s) <- rest;
+              Some f
+          | [] -> None
+        in
+        match take node with
+        | Some f -> Some f
+        | None ->
+            List.find_map
+              (fun s -> if s = node then None else take s)
+              (List.init sockets Fun.id)
+      in
+      List.for_all
+        (function
+          | Alloc node ->
+              let got = Hw.Memory.alloc mem ~node in
+              let want = model_alloc node in
+              Option.iter (fun f -> held := f :: !held) want;
+              got = want
+          | Free i -> (
+              match !held with
+              | [] -> true
+              | l ->
+                  let f = List.nth l (i mod List.length l) in
+                  held := List.filter (( <> ) f) l;
+                  Hw.Memory.free mem f;
+                  let s = f / fps in
+                  free.(s) <- f :: free.(s);
+                  Hw.Memory.used_count mem = List.length !held)
+          | Bad f ->
+              List.mem f !held
+              ||
+              match Hw.Memory.free mem f with
+              | () -> false
+              | exception Invalid_argument msg ->
+                  msg = "Memory.free: double free")
+        ops)
+
+(* A boot allocates no per-frame state: the frame bitmaps grow as frames
+   are handed out, so creating the 4-socket machine every experiment
+   boots adds next to nothing to the major heap (an eager byte per frame
+   would add 4 x 65,536 bytes, about 32,800 words). [Gc.counters] counts
+   this domain's allocations as they happen; [Gc.quick_stat] would only
+   see them after the domain's next minor collection. *)
+let test_machine_boot_allocation () =
+  Gc.minor ();
+  let major () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let before = major () in
+  let m = Hw.Machine.create ~sockets:4 ~cores_per_socket:16 () in
+  let words = major () -. before in
+  ignore (Sys.opaque_identity m);
+  if words >= 1000. then
+    Alcotest.failf "Machine.create added %.0f major words" words
+
 let () =
   Alcotest.run "hw"
     [
@@ -221,6 +320,8 @@ let () =
           Alcotest.test_case "alloc/free" `Quick test_memory_alloc_free;
           Alcotest.test_case "fallback + exhaustion" `Quick
             test_memory_fallback_and_exhaustion;
+          Alcotest.test_case "boot allocates no frame state" `Quick
+            test_machine_boot_allocation;
         ] );
       ( "spinlock",
         [
@@ -242,5 +343,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_memory_frames_unique; prop_memory_alloc_free_roundtrip ] );
+          [
+            prop_memory_frames_unique;
+            prop_memory_alloc_free_roundtrip;
+            prop_memory_matches_eager_model;
+          ] );
     ]

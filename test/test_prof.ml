@@ -66,11 +66,11 @@ let test_attribution () =
   List.iter
     (fun (r : Obs.Prof.row) ->
       if contains ~affix:"-" r.name && String.length r.name > 0 then
-        (* Digit runs are collapsed, so per-instance names cannot leak. *)
+        (* A label names a kind of fiber, never an instance. *)
         String.iter
           (fun c ->
             if c >= '0' && c <= '9' then
-              Alcotest.failf "unnormalized label %S" r.name)
+              Alcotest.failf "per-instance label %S" r.name)
           r.name)
     rows;
   Alcotest.(check bool) "scheduler time non-negative" true
@@ -89,7 +89,10 @@ let test_attribution () =
     (contains ~affix:"popcornsim-profile-v1" json)
 
 (* The parallel suite stays bit-identical with profiling on: each run_one
-   owns its profiler, so domains share nothing. *)
+   owns its profiler, so domains share nothing. Across the whole suite no
+   profile row names a fiber instance: a digit in a label name means some
+   spawn site formats a tid, request or node number into it, and its
+   engine keeps one label per instance until the run ends. *)
 let test_jobs_profiled () =
   let suite jobs =
     Experiments.Registry.run_all ~quick:true ~profile:true ~jobs ()
@@ -98,9 +101,14 @@ let test_jobs_profiled () =
   List.iter2
     (fun (a : Experiments.Registry.outcome)
          (b : Experiments.Registry.outcome) ->
-      Alcotest.(check string)
-        (a.spec.Experiments.Registry.id ^ ": identical under jobs=4")
-        a.output b.output)
+      let id = a.spec.Experiments.Registry.id in
+      Alcotest.(check string) (id ^ ": identical under jobs=4") a.output
+        b.output;
+      List.iter
+        (fun (r : Obs.Prof.row) ->
+          if String.exists (fun c -> c >= '0' && c <= '9') r.name then
+            Alcotest.failf "%s: label %S names an instance" id r.name)
+        (Obs.Prof.rows (Option.get a.prof)))
     serial parallel
 
 let () =

@@ -86,6 +86,15 @@ let test_fiber_failure_propagates () =
     (Engine.Fiber_failure ("boom", Failure "bang"))
     (fun () -> Engine.run eng)
 
+(* A scheduled callback runs outside any fiber: blocking in it is a bug
+   the engine reports rather than a fiber it silently starts. *)
+let test_callback_cannot_block () =
+  let eng = Engine.create () in
+  Engine.schedule eng ~after:10 (fun () -> Engine.sleep eng 5);
+  match Engine.run eng with
+  | () -> Alcotest.fail "a scheduled callback slept"
+  | exception Effect.Unhandled _ -> ()
+
 let test_determinism () =
   let run_once () =
     let eng = Engine.create ~seed:7 () in
@@ -127,7 +136,8 @@ let test_mutex_fifo () =
       Engine.sleep eng (Time.us 50);
       Mutex.unlock m);
   for i = 1 to 5 do
-    Engine.schedule eng ~after:i (fun () ->
+    Engine.spawn eng (fun () ->
+        Engine.sleep eng i;
         Mutex.lock m;
         order := i :: !order;
         Mutex.unlock m)
@@ -211,7 +221,8 @@ let test_barrier_rounds () =
   let b = Barrier.create eng ~parties:4 in
   let leaders = ref 0 and released = ref 0 in
   for i = 1 to 8 do
-    Engine.schedule eng ~after:(i * 10) (fun () ->
+    Engine.spawn eng (fun () ->
+        Engine.sleep eng (i * 10);
         (match Barrier.wait b with
         | `Leader -> incr leaders
         | `Follower -> ());
@@ -664,6 +675,8 @@ let () =
             test_suspend_idempotent_resume;
           Alcotest.test_case "fiber failure propagates" `Quick
             test_fiber_failure_propagates;
+          Alcotest.test_case "callback cannot block" `Quick
+            test_callback_cannot_block;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
       ( "sync",

@@ -50,7 +50,8 @@ let test_rwsem_writer_excludes () =
       in_write := false;
       Smp.Rwsem.up_write sem ~core:0);
   for core = 1 to 3 do
-    Engine.schedule eng ~after:(Time.us 1) (fun () ->
+    Engine.spawn eng (fun () ->
+        Engine.sleep eng (Time.us 1);
         Smp.Rwsem.down_read sem ~core;
         if !in_write then violation := true;
         Engine.sleep eng (Time.us 5);
@@ -70,11 +71,13 @@ let test_rwsem_writer_not_starved () =
       Smp.Rwsem.down_read sem ~core:0;
       Engine.sleep eng (Time.us 10);
       Smp.Rwsem.up_read sem ~core:0);
-  Engine.schedule eng ~after:(Time.us 1) (fun () ->
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng (Time.us 1);
       Smp.Rwsem.down_write sem ~core:1;
       writer_done_at := Engine.now eng;
       Smp.Rwsem.up_write sem ~core:1);
-  Engine.schedule eng ~after:(Time.us 2) (fun () ->
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng (Time.us 2);
       Smp.Rwsem.down_read sem ~core:2;
       (* This reader must run after the queued writer. *)
       Alcotest.(check bool) "writer ran first" true (!writer_done_at > 0);
