@@ -1,10 +1,12 @@
-(* Engine hot-path and boot microbenchmarks (bechamel).
+(* Engine hot-path, boot and report microbenchmarks (bechamel).
 
    Covers event-heap push/pop, label interning, metric updates (by-name vs
    pre-resolved handle), end-to-end message delivery through the
-   transport, and booting: a bare 4-socket x 16-core machine, and a
-   4-kernel Popcorn cluster on it (what every experiment data point pays
-   before its first event). CI runs `--quick` and archives the report; the
+   transport, booting: a bare 4-socket x 16-core machine, and a 4-kernel
+   Popcorn cluster on it (what every experiment data point pays before its
+   first event), and the results-document round trip of
+   `popcornsim analyze`: writing, parsing and analyzing R4's quick
+   document. CI runs `--quick` and archives the report; the
    numbers are informational. That simulated results stay identical is
    checked by the tier-1 tests, which hold the quick suite byte for byte
    to bench/baseline.json.
@@ -102,6 +104,20 @@ let popcorn_boot =
       let m = Hw.Machine.create ~sockets:4 ~cores_per_socket:16 () in
       ignore (Popcorn.Cluster.boot m ~kernels:4 ~cores_per_kernel:16))
 
+(* R4's results document at quick size and seed 42 (about 2.1 MB, 1,440
+   spans and 27,385 causal events), built once before any timing. *)
+let r4_doc =
+  let module R = Experiments.Registry in
+  R.report_json ~quick:true
+    [ R.run_one ~quick:true ~observe:true ~seed:42 (Option.get (R.find "R4")) ]
+
+let r4_text = Obs.Json.to_string r4_doc
+let json_write = Staged.stage (fun () -> ignore (Obs.Json.to_string r4_doc))
+let json_parse = Staged.stage (fun () -> ignore (Obs.Json.of_string r4_text))
+
+let analyze_doc =
+  Staged.stage (fun () -> ignore (Obs.Report.analyze_doc r4_doc))
+
 let tests =
   Test.make_grouped ~name:"engine"
     [
@@ -113,6 +129,9 @@ let tests =
       Test.make ~name:"deliver-128" deliver;
       Test.make ~name:"machine-create" machine_create;
       Test.make ~name:"popcorn-boot" popcorn_boot;
+      Test.make ~name:"json-write" json_write;
+      Test.make ~name:"json-parse" json_parse;
+      Test.make ~name:"analyze-doc" analyze_doc;
     ]
 
 let () =

@@ -17,7 +17,7 @@
    --jobs N: experiments are scheduled over N domains (default: host
    cores) with results identical to a serial run and printed in registry
    order. `analyze` reads either file kind; `diff --fail-on-regress PCT`
-   exits 3 on regression (the CI gate). *)
+   exits 3 on regression. *)
 
 open Cmdliner
 

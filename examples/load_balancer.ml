@@ -15,17 +15,23 @@ module K = Kernelmodel
 let threads = 12
 let work_slices = 40
 
-(* Sample each kernel's cumulative CPU-busy time every 250us; the deltas
-   divided by capacity give per-kernel utilisation over time. *)
+(* The run stops at 20ms; utilisation is reported per 1ms bucket. *)
+let bucket_ns = Sim.Time.ms 1
+let buckets = 20
+
+(* Sample each kernel's cumulative CPU-busy time every 250us and add the
+   delta to the current bucket; a bucket's busy time divided by its width
+   is that kernel's utilisation. *)
 let sample_utilisation cluster eng series =
   let prev = Array.make 4 0 in
   let rec loop () =
     Sim.Engine.sleep eng (Sim.Time.us 250);
+    let b = Sim.Engine.now eng / bucket_ns in
     Array.iteri
-      (fun k ts ->
+      (fun k busy_ns ->
         let busy = K.Sched.total_busy (Types.kernel_of cluster k).Types.sched in
-        Stats.Timeseries.add ts ~at:(Sim.Engine.now eng)
-          (float_of_int (busy - prev.(k)));
+        if b < buckets then
+          busy_ns.(b) <- busy_ns.(b) +. float_of_int (busy - prev.(k));
         prev.(k) <- busy)
       series;
     loop ()
@@ -36,9 +42,7 @@ let run ~balance =
   let machine = Hw.Machine.create ~sockets:2 ~cores_per_socket:8 () in
   let cluster = Cluster.boot machine ~kernels:4 ~cores_per_kernel:4 in
   let eng = machine.Hw.Machine.eng in
-  let series =
-    Array.init 4 (fun _ -> Stats.Timeseries.create ~bucket_ns:(Sim.Time.ms 1))
-  in
+  let series = Array.init 4 (fun _ -> Array.make buckets 0.) in
   sample_utilisation cluster eng series;
   let elapsed = ref 0 and migrations = ref 0 in
   Sim.Engine.spawn eng (fun () ->
@@ -88,24 +92,16 @@ let print_utilisation label series =
   Printf.printf "\n%s — per-kernel utilisation (%% of 4 cores, 1ms buckets):\n"
     label;
   Printf.printf "  %-6s %6s %6s %6s %6s\n" "t(ms)" "k0" "k1" "k2" "k3";
-  let columns = Array.map Stats.Timeseries.normalised series in
-  let times = List.map fst (Array.to_list columns |> List.concat) in
-  let times = List.sort_uniq compare times in
-  List.iteri
-    (fun row at ->
-      if row < 6 then begin
-        Printf.printf "  %-6.1f" (float_of_int at /. 1e6);
-        Array.iter
-          (fun col ->
-            let v =
-              match List.assoc_opt at col with Some v -> v | None -> 0.
-            in
-            (* 4 cores per kernel: normalise to a percentage of capacity. *)
-            Printf.printf " %5.0f%%" (100. *. v /. 4.))
-          columns;
-        print_newline ()
-      end)
-    times
+  for row = 0 to 5 do
+    Printf.printf "  %-6.1f" (float_of_int (row * bucket_ns) /. 1e6);
+    Array.iter
+      (fun busy_ns ->
+        let v = busy_ns.(row) /. float_of_int bucket_ns in
+        (* 4 cores per kernel: normalise to a percentage of capacity. *)
+        Printf.printf " %5.0f%%" (100. *. v /. 4.))
+      series;
+    print_newline ()
+  done
 
 let () =
   Printf.printf "%d threads x %d slices of 100us, all born on kernel 0\n"

@@ -82,50 +82,45 @@ let to_json t = Json.Arr (List.map event_to_json (events t))
 (* Tolerant decoding: an analyzer must survive truncated or hand-edited
    documents, so unknown shapes are skipped rather than fatal. *)
 
-let event_of_json j =
-  let req k f = Option.bind (Json.int_field k j) f in
-  match Json.field "ev" j with
-  | Some (Json.Str "send") ->
-      req "id" (fun id ->
-          req "src" (fun src ->
-              req "dst" (fun dst ->
-                  req "at" (fun at ->
-                      Some
-                        (Send
-                           {
-                             id;
-                             run =
-                               Option.value ~default:0 (Json.int_field "run" j);
-                             src;
-                             dst;
-                             at;
-                             bytes =
-                               Option.value ~default:0
-                                 (Json.int_field "bytes" j);
-                             from_span = Json.int_field "from_span" j;
-                           })))))
-  | Some (Json.Str "deliver") ->
-      req "id" (fun id ->
-          req "dst" (fun dst ->
-              req "at" (fun at ->
-                  Some
-                    (Deliver
-                       {
-                         id;
-                         run = Option.value ~default:0 (Json.int_field "run" j);
-                         dst;
-                         at;
-                       }))))
-  | Some (Json.Str "link") ->
-      req "id" (fun id ->
-          req "span" (fun span ->
-              Some
-                (Link
-                   {
-                     id;
-                     run = Option.value ~default:0 (Json.int_field "run" j);
-                     span;
-                   })))
+let slot = function
+  | "ev" -> 0
+  | "id" -> 1
+  | "run" -> 2
+  | "src" -> 3
+  | "dst" -> 4
+  | "at" -> 5
+  | "bytes" -> 6
+  | "from_span" -> 7
+  | "span" -> 8
+  | _ -> -1
+
+let int = Fields.int ~default:0
+let is_int = Fields.is_int
+
+let event_of_json = function
+  | Json.Obj fields -> (
+      match Fields.read ~slot 9 fields with
+      | [| Json.Str "send"; id; run; src; dst; at; bytes; from_span; _ |]
+        when is_int id && is_int src && is_int dst && is_int at ->
+          Some
+            (Send
+               {
+                 id = int id;
+                 run = int run;
+                 src = int src;
+                 dst = int dst;
+                 at = int at;
+                 bytes = int bytes;
+                 from_span = Fields.int_opt from_span;
+               })
+      | [| Json.Str "deliver"; id; run; _; dst; at; _; _; _ |]
+        when is_int id && is_int dst && is_int at ->
+          Some
+            (Deliver { id = int id; run = int run; dst = int dst; at = int at })
+      | [| Json.Str "link"; id; run; _; _; _; _; _; span |]
+        when is_int id && is_int span ->
+          Some (Link { id = int id; run = int run; span = int span })
+      | _ -> None)
   | _ -> None
 
 let events_of_json = function

@@ -11,51 +11,70 @@ open Span
 
 type send_rec = { s_src : int; s_dst : int; s_at : int; s_from : int option }
 
+(* (run, id) keys hashed and compared as two ints: no C hash and no
+   polymorphic compare per probe. Parsed documents may hold any ints, so
+   the pair is not packed into one. *)
+module Key = struct
+  type t = int * int
+
+  let equal ((r : int), (i : int)) (r', i') = r = r' && i = i'
+  let hash ((r : int), (i : int)) = (i * 65599) + r
+end
+
+module Tbl = Hashtbl.Make (Key)
+
+module Runs = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (r : int) = r
+end)
+
 type t = {
   spans : span list; (* creation order *)
-  span_by_id : (int * int, span) Hashtbl.t; (* (run, id) *)
-  children : (int * int, int list) Hashtbl.t; (* (run, sid) -> child sids *)
-  sends : (int * int, send_rec) Hashtbl.t; (* (run, msg id) *)
-  delivers : (int * int, int) Hashtbl.t; (* (run, msg id) -> at *)
-  links : (int * int, int list) Hashtbl.t; (* (run, msg id) -> span sids *)
-  sends_by_span : (int * int, int list) Hashtbl.t; (* (run, sid) -> msg ids *)
-  run_end : (int, int) Hashtbl.t; (* run -> latest timestamp seen *)
+  span_by_id : span Tbl.t; (* (run, id) *)
+  children : int list Tbl.t; (* (run, sid) -> child sids *)
+  sends : send_rec Tbl.t; (* (run, msg id) *)
+  delivers : int Tbl.t; (* (run, msg id) -> at *)
+  links : int list Tbl.t; (* (run, msg id) -> span sids *)
+  sends_by_span : int list Tbl.t; (* (run, sid) -> msg ids *)
+  run_end : int Runs.t; (* run -> latest timestamp seen *)
 }
 
-let add_multi tbl key v =
-  Hashtbl.replace tbl key (v :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
+let find_all tbl key = Option.value (Tbl.find_opt tbl key) ~default:[]
+let add_multi tbl key v = Tbl.replace tbl key (v :: find_all tbl key)
 
 let build ~spans ~causal =
   let ix =
     {
       spans;
-      span_by_id = Hashtbl.create 256;
-      children = Hashtbl.create 256;
-      sends = Hashtbl.create 256;
-      delivers = Hashtbl.create 256;
-      links = Hashtbl.create 64;
-      sends_by_span = Hashtbl.create 64;
-      run_end = Hashtbl.create 4;
+      span_by_id = Tbl.create 256;
+      children = Tbl.create 256;
+      sends = Tbl.create 256;
+      delivers = Tbl.create 256;
+      links = Tbl.create 64;
+      sends_by_span = Tbl.create 64;
+      run_end = Runs.create 4;
     }
   in
   let bump_end run at =
-    let cur = Option.value (Hashtbl.find_opt ix.run_end run) ~default:0 in
-    Hashtbl.replace ix.run_end run (Stdlib.max cur at)
+    let cur = Option.value (Runs.find_opt ix.run_end run) ~default:0 in
+    Runs.replace ix.run_end run (Int.max cur at)
   in
   List.iter
     (fun s ->
-      Hashtbl.replace ix.span_by_id (s.run, s.id) s;
+      Tbl.replace ix.span_by_id (s.run, s.id) s;
       (match s.parent with
       | Some p -> add_multi ix.children (s.run, p) s.id
       | None -> ());
-      bump_end s.run (Stdlib.max s.start s.stop))
+      bump_end s.run (Int.max s.start s.stop))
     spans;
   List.iter
     (fun (e : Causal.event) ->
       match e with
       | Causal.Send { id; run; src; dst; at; from_span; _ } ->
-          if not (Hashtbl.mem ix.sends (run, id)) then
-            Hashtbl.replace ix.sends (run, id)
+          if not (Tbl.mem ix.sends (run, id)) then
+            Tbl.add ix.sends (run, id)
               { s_src = src; s_dst = dst; s_at = at; s_from = from_span };
           (match from_span with
           | Some sp -> add_multi ix.sends_by_span (run, sp) id
@@ -63,8 +82,8 @@ let build ~spans ~causal =
           bump_end run at
       | Causal.Deliver { id; run; at; _ } ->
           (* first delivery wins (duplicates are suppressed downstream) *)
-          if not (Hashtbl.mem ix.delivers (run, id)) then
-            Hashtbl.replace ix.delivers (run, id) at;
+          if not (Tbl.mem ix.delivers (run, id)) then
+            Tbl.add ix.delivers (run, id) at;
           bump_end run at
       | Causal.Link { id; run; span } -> add_multi ix.links (run, id) span)
     causal;
@@ -73,8 +92,8 @@ let build ~spans ~causal =
 let stop_eff ix (s : span) =
   if s.stop >= 0 then s.stop
   else
-    Stdlib.max s.start
-      (Option.value (Hashtbl.find_opt ix.run_end s.run) ~default:s.start)
+    Int.max s.start
+      (Option.value (Runs.find_opt ix.run_end s.run) ~default:s.start)
 
 let duration ix (s : span) = stop_eff ix s - s.start
 
@@ -113,19 +132,17 @@ let component ix (root : span) =
           Hashtbl.replace comp_spans sid ();
           List.iter
             (fun c -> Queue.add (`Span c) pending)
-            (Option.value (Hashtbl.find_opt ix.children (run, sid)) ~default:[]);
+            (find_all ix.children (run, sid));
           List.iter
             (fun m -> Queue.add (`Msg m) pending)
-            (Option.value
-               (Hashtbl.find_opt ix.sends_by_span (run, sid))
-               ~default:[])
+            (find_all ix.sends_by_span (run, sid))
         end
     | `Msg id ->
         if not (Hashtbl.mem comp_msgs id) then begin
           Hashtbl.replace comp_msgs id ();
           List.iter
             (fun sp -> Queue.add (`Span sp) pending)
-            (Option.value (Hashtbl.find_opt ix.links (run, id)) ~default:[])
+            (find_all ix.links (run, id))
         end
   done;
   (comp_spans, comp_msgs)
@@ -137,7 +154,7 @@ let critical_path ix ~root =
   let intervals = ref [] in
   Hashtbl.iter
     (fun sid () ->
-      match Hashtbl.find_opt ix.span_by_id (run, sid) with
+      match Tbl.find_opt ix.span_by_id (run, sid) with
       | None -> ()
       | Some s ->
           intervals :=
@@ -153,7 +170,7 @@ let critical_path ix ~root =
   Hashtbl.iter
     (fun id () ->
       match
-        (Hashtbl.find_opt ix.sends (run, id), Hashtbl.find_opt ix.delivers (run, id))
+        (Tbl.find_opt ix.sends (run, id), Tbl.find_opt ix.delivers (run, id))
       with
       | Some sr, Some d_at when d_at > sr.s_at ->
           intervals :=
@@ -238,16 +255,17 @@ let union_len ~lo ~hi intervals =
   let clipped =
     List.filter_map
       (fun (a, b) ->
-        let a = Stdlib.max a lo and b = Stdlib.min b hi in
+        let a = Int.max a lo and b = Int.min b hi in
         if b > a then Some (a, b) else None)
       intervals
-    |> List.sort compare
+    |> List.sort (fun ((a : int), (b : int)) (a', b') ->
+           if a <> a' then Int.compare a a' else Int.compare b b')
   in
   let _, total =
     List.fold_left
       (fun (edge, total) (a, b) ->
         if b <= edge then (edge, total)
-        else (b, total + (b - Stdlib.max a edge)))
+        else (b, total + (b - Int.max a edge)))
       (lo, 0) clipped
   in
   total
@@ -267,28 +285,26 @@ let self_times ix =
           (fun c ->
             Option.map
               (fun cs -> (cs.start, stop_eff ix cs))
-              (Hashtbl.find_opt ix.span_by_id (s.run, c)))
-          (Option.value (Hashtbl.find_opt ix.children (s.run, s.id)) ~default:[])
+              (Tbl.find_opt ix.span_by_id (s.run, c)))
+          (find_all ix.children (s.run, s.id))
       in
       let wire_ivals =
         List.filter_map
           (fun id ->
             match
-              ( Hashtbl.find_opt ix.sends (s.run, id),
-                Hashtbl.find_opt ix.delivers (s.run, id) )
+              ( Tbl.find_opt ix.sends (s.run, id),
+                Tbl.find_opt ix.delivers (s.run, id) )
             with
             | Some sr, Some d_at when d_at > sr.s_at -> Some (sr.s_at, d_at)
             | _ -> None)
-          (Option.value
-             (Hashtbl.find_opt ix.sends_by_span (s.run, s.id))
-             ~default:[])
+          (find_all ix.sends_by_span (s.run, s.id))
       in
       add (subsystem (kind_name s.kind))
         (hi - lo - union_len ~lo ~hi (child_ivals @ wire_ivals)))
     ix.spans;
-  Hashtbl.iter
-    (fun (run, id) d_at ->
-      match Hashtbl.find_opt ix.sends (run, id) with
+  Tbl.iter
+    (fun key d_at ->
+      match Tbl.find_opt ix.sends key with
       | Some sr when d_at > sr.s_at -> add "msg" (d_at - sr.s_at)
       | _ -> ())
     ix.delivers;

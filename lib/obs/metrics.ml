@@ -253,7 +253,8 @@ let rows t =
 
 (* Exported JSON must be byte-stable regardless of the order metrics were
    first touched: the parallel suite runner serializes one sink per
-   experiment and CI byte-diffs the result against a committed baseline.
+   experiment and tier-1 compares the result byte for byte with the
+   committed baselines.
    Entries are sorted by (name, kernel) here — the same order [rows]
    guarantees — so the export does not depend on [rows] keeping that
    property. *)

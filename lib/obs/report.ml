@@ -1,6 +1,7 @@
 (* ASCII reports for `popcornsim analyze` / `popcornsim diff`. Everything
    here is a pure function of the parsed document, so output is stable
-   across hosts and runs — the diff gate in CI depends on that. *)
+   across hosts and runs: tier-1 pins R4's whole analyze report byte for
+   byte. *)
 
 type dataset = {
   label : string;
@@ -139,7 +140,7 @@ let analyze_doc j =
 
 (* One comparable scalar. Histograms project to .mean / .p99 / .max — max
    included so a pure tail regression (mean and p99 flat, worst case blown
-   out) still shows up and can gate CI. *)
+   out) still shows up as a regression. *)
 type metric = { m_exp : string; m_name : string; m_kernel : int option }
 
 let metric_compare a b =

@@ -1,6 +1,6 @@
 (* Worst-case & SLO analysis. Pure functions of spans/causal/counters —
-   no wall clock, no randomness — so summaries are byte-stable and can be
-   CI-gated (diff) and compared across --jobs levels (R4's digest). *)
+   no wall clock, no randomness — so summaries are byte-stable: `diff`
+   compares them, and R4's digest holds across --jobs levels. *)
 
 type phase = { ph_label : string; ph_ns : int }
 

@@ -13,8 +13,8 @@
 
     Everything here is a pure function of spans + causal events +
     counters, so summaries are deterministic and byte-stable across
-    runs — which is what lets `popcornsim diff` gate on them in CI and
-    the R4 experiment assert bit-identity under [--jobs 4]. *)
+    runs — which is what lets `popcornsim diff` compare them and the R4
+    experiment assert bit-identity under [--jobs 4]. *)
 
 type phase = {
   ph_label : string;
@@ -77,8 +77,8 @@ val worst_path : Critpath.t -> kind_summary -> Critpath.path option
 val record : t -> Metrics.t -> unit
 (** Write [slo.<kind>.worst_case_ns] and [slo.<kind>.mean_ns] gauges for
     every summarized kind into a registry, so exported metrics (and the
-    committed CI baseline) carry the bound and `popcornsim diff`'s
-    time-metric rule gates regressions of the worst case itself. *)
+    committed baselines) carry the bound and `popcornsim diff`'s
+    time-metric rule flags regressions of the worst case itself. *)
 
 val to_json : t -> Json.t
 (** The [popcornsim-slo-v1] section of a results document. *)

@@ -86,21 +86,32 @@ let to_json ?(run_offset = 0) s =
     @ opt_int "parent" s.parent
     @ opt_int "tid" s.tid)
 
-let of_json j =
-  match
-    Json.(int_field "id" j, str_field "kind" j, int_field "kernel" j,
-          int_field "start" j)
-  with
-  | Some id, Some kind, Some kernel, Some start ->
-      Some
-        {
-          id;
-          parent = Json.int_field "parent" j;
-          kind = kind_of_name kind;
-          kernel;
-          tid = Json.int_field "tid" j;
-          run = Option.value (Json.int_field "run" j) ~default:0;
-          start;
-          stop = Option.value (Json.int_field "stop" j) ~default:(-1);
-        }
+let slot = function
+  | "id" -> 0
+  | "kind" -> 1
+  | "kernel" -> 2
+  | "start" -> 3
+  | "parent" -> 4
+  | "tid" -> 5
+  | "run" -> 6
+  | "stop" -> 7
+  | _ -> -1
+
+let of_json = function
+  | Json.Obj fields -> (
+      match Fields.read ~slot 8 fields with
+      | [| id; Json.Str kind; kernel; start; parent; tid; run; stop |]
+        when Fields.is_int id && Fields.is_int kernel && Fields.is_int start ->
+          Some
+            {
+              id = Fields.int ~default:0 id;
+              parent = Fields.int_opt parent;
+              kind = kind_of_name kind;
+              kernel = Fields.int ~default:0 kernel;
+              tid = Fields.int_opt tid;
+              run = Fields.int ~default:0 run;
+              start = Fields.int ~default:0 start;
+              stop = Fields.int ~default:(-1) stop;
+            }
+      | _ -> None)
   | _ -> None

@@ -122,6 +122,78 @@ let test_causal_json_roundtrip () =
     (List.length decoded);
   Alcotest.(check bool) "roundtrip is the identity" true (events = decoded)
 
+(* The decoders read each object in one pass with the tolerant accessors'
+   rules: any key order; a key's first occurrence wins even with the wrong
+   type; a Float in an int field is truncated; unknown keys are ignored;
+   missing optional fields take their defaults. *)
+let test_decoder_tolerance () =
+  let parse text =
+    match Obs.Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  let event text = Obs.Causal.event_of_json (parse text) in
+  let check_event text expected =
+    Alcotest.(check bool) text true (event text = expected)
+  in
+  check_event {|{"at":5,"dst":1,"id":3,"run":2,"ev":"deliver"}|}
+    (Some (Obs.Causal.Deliver { id = 3; run = 2; dst = 1; at = 5 }));
+  check_event {|{"ev":"link","id":"4","id":4,"span":2}|} None;
+  check_event {|{"ev":"link","id":4,"run":null,"run":7,"span":2}|}
+    (Some (Obs.Causal.Link { id = 4; run = 0; span = 2 }));
+  check_event {|{"ev":7,"ev":"link","id":4,"span":2}|} None;
+  check_event {|{"ev":"link","id":4.9,"span":-2.9}|}
+    (Some (Obs.Causal.Link { id = 4; run = 0; span = -2 }));
+  check_event {|{"ev":"link","extra":[1],"id":4,"span":2}|}
+    (Some (Obs.Causal.Link { id = 4; run = 0; span = 2 }));
+  check_event {|{"ev":"send","id":1,"src":0,"dst":1,"at":9}|}
+    (Some
+       (Obs.Causal.Send
+          {
+            id = 1;
+            run = 0;
+            src = 0;
+            dst = 1;
+            at = 9;
+            bytes = 0;
+            from_span = None;
+          }));
+  check_event {|{"ev":"send","id":1,"src":0,"dst":1}|} None;
+  check_event {|{"ev":"recv","id":1,"span":2}|} None;
+  check_event {|[{"ev":"link","id":1,"span":2}]|} None;
+  let span text = Obs.Span.of_json (parse text) in
+  let check_span text expected =
+    Alcotest.(check bool) text true (span text = expected)
+  in
+  check_span {|{"start":5,"kernel":1,"kind":"import","id":8,"tid":3,"stop":9}|}
+    (Some
+       {
+         Obs.Span.id = 8;
+         parent = None;
+         kind = Obs.Span.Import;
+         kernel = 1;
+         tid = Some 3;
+         run = 0;
+         start = 5;
+         stop = 9;
+       });
+  check_span {|{"id":8,"kind":1,"kind":"import","kernel":1,"start":5}|} None;
+  check_span
+    {|{"id":8.5,"kind":"x","kernel":1,"start":5,"stop":null,"stop":7,
+       "parent":2,"run":3,"why":0}|}
+    (Some
+       {
+         Obs.Span.id = 8;
+         parent = Some 2;
+         kind = Obs.Span.Custom "x";
+         kernel = 1;
+         tid = None;
+         run = 3;
+         start = 5;
+         stop = -1;
+       });
+  check_span {|{"id":8,"kind":"import","start":5}|} None
+
 (* --- critical path of a hand-built 3-kernel migration --- *)
 
 let ispan ?parent ?tid ~sid ~kind ~kernel ~start ~stop () =
@@ -372,6 +444,56 @@ let prop_worst_path =
               && ks.Obs.Slo.ks_worst_ns = slowest.Obs.Critpath.total_ns
           | _ -> false)
         Obs.Slo.kinds_analyzed)
+
+(* The index keys (run, id) as a pair of ints, so any ints work. Runs at
+   both ends of the int range and negative or very large ids (where
+   packing the pair as [run lsl 32 + id] would make run 0's span 3 collide
+   with run 1's span 4) give the same self times and critical paths as the
+   same data with small ids. The maps keep the order of ids, which breaks
+   ties between segments. *)
+let test_critical_path_any_ids () =
+  let _, spans, causal = random_dataset 7 in
+  let run r = if r = 0 then min_int else max_int in
+  let id i = (i - 3) lsl 32 in
+  let msg m = (m - 5) lsl 40 in
+  let remap (s : Obs.Span.span) =
+    {
+      s with
+      Obs.Span.id = id s.Obs.Span.id;
+      run = run s.Obs.Span.run;
+      parent = Option.map id s.Obs.Span.parent;
+    }
+  in
+  let remap_event : Obs.Causal.event -> Obs.Causal.event = function
+    | Send e ->
+        Send
+          {
+            e with
+            id = msg e.id;
+            run = run e.run;
+            from_span = Option.map id e.from_span;
+          }
+    | Deliver e -> Deliver { e with id = msg e.id; run = run e.run }
+    | Link e -> Link { id = msg e.id; run = run e.run; span = id e.span }
+  in
+  let small = Obs.Critpath.build ~spans ~causal in
+  let large =
+    Obs.Critpath.build ~spans:(List.map remap spans)
+      ~causal:(List.map remap_event causal)
+  in
+  Alcotest.(check (list (pair string int))) "self times"
+    (Obs.Critpath.self_times small) (Obs.Critpath.self_times large);
+  List.iter
+    (fun (root : Obs.Span.span) ->
+      if root.Obs.Span.parent = None then begin
+        let a = Obs.Critpath.critical_path small ~root
+        and b = Obs.Critpath.critical_path large ~root:(remap root) in
+        Alcotest.(check int) "total" a.Obs.Critpath.total_ns
+          b.Obs.Critpath.total_ns;
+        Alcotest.(check bool) "segments" true
+          (a.Obs.Critpath.segs = b.Obs.Critpath.segs)
+      end)
+    spans
 
 (* --- analyze / diff documents --- *)
 
@@ -666,6 +788,125 @@ let prop_json_roundtrip =
       | Ok j' -> Obs.Json.to_string j' = s
       | Error e -> QCheck.Test.fail_reportf "%s: %s" e s)
 
+let json =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Obs.Json.to_string j))
+    ( = )
+
+(* A [\u] escape takes exactly four hex digits, and a high surrogate
+   combines only with a low one; otherwise each escape is encoded on its
+   own, a lone surrogate as three bytes. *)
+let test_json_unicode_escapes () =
+  let check text expected =
+    Alcotest.(check (result json string))
+      text expected (Obs.Json.of_string text)
+  in
+  check {|"\u1_23"|} (Error "bad \\u escape at byte 3");
+  check {|"\uzzzz"|} (Error "bad \\u escape at byte 3");
+  check {|"\uD800\u0041"|} (Ok (Obs.Json.Str "\xed\xa0\x80A"));
+  check {|"\uDBFF\uDBFF"|} (Ok (Obs.Json.Str "\xed\xaf\xbf\xed\xaf\xbf"));
+  check {|"\uD834\uDD1E"|} (Ok (Obs.Json.Str "\xf0\x9d\x84\x9e"))
+
+(* Numbers and errors exactly as the general number path has always read
+   them, around the in-place int path: its edges, overflow to Float at
+   both ends, and the offsets of errors. *)
+let test_json_literals () =
+  let check text expected =
+    Alcotest.(check (result json string))
+      text expected (Obs.Json.of_string text)
+  in
+  check "-" (Error "bad number - at byte 1");
+  check "1-2" (Error "bad number 1-2 at byte 3");
+  check "007" (Ok (Obs.Json.Int 7));
+  check "-0" (Ok (Obs.Json.Int 0));
+  check "1e5" (Ok (Obs.Json.Float 1e5));
+  check "1.0" (Ok (Obs.Json.Float 1.0));
+  check "[12a]" (Error "expected ',' or ']' at byte 3");
+  check "4611686018427387903" (Ok (Obs.Json.Int max_int));
+  check "4611686018427387904" (Ok (Obs.Json.Float 4611686018427387904.));
+  check "-4611686018427387904" (Ok (Obs.Json.Int min_int));
+  check "-4611686018427387905" (Ok (Obs.Json.Float (-4611686018427387905.)));
+  check "tru" (Error "expected true at byte 0");
+  check "[1,]" (Error "unexpected ']' at byte 3");
+  check {|{"a" 1}|} (Error "expected ':' at byte 5");
+  (* More distinct keys than the parser's shared-key slots, twice over. *)
+  let keys =
+    List.init 600 (fun i -> (Printf.sprintf "k%d" i, Obs.Json.Int i))
+  in
+  let doc = Obs.Json.Arr [ Obs.Json.Obj keys; Obs.Json.Obj (List.rev keys) ] in
+  check (Obs.Json.to_string doc) (Ok doc)
+
+(* R4's whole results document (quick size, seed 42) reads back and
+   writes out to the same bytes. *)
+let test_json_r4_document () =
+  let o =
+    Experiments.Registry.run_one ~quick:true ~observe:true ~seed:42
+      (Option.get (Experiments.Registry.find "R4"))
+  in
+  let text =
+    Obs.Json.to_string (Experiments.Registry.report_json ~quick:true [ o ])
+  in
+  match Obs.Json.of_string text with
+  | Ok doc ->
+      Alcotest.(check bool) "byte for byte" true (Obs.Json.to_string doc = text)
+  | Error e -> Alcotest.fail e
+
+(* Parsing what the writer wrote gives back the value itself: ints at both
+   ends of the range, floats that are not integers (an integral float is
+   written as an int), strings and keys with every escape, duplicate keys
+   and nesting. *)
+let prop_json_value_roundtrip =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, map (String.make 1) (char_range 'a' 'd'));
+        (2, map (String.make 1) (oneofl [ '"'; '\\'; '/'; '\127' ]));
+        (1, map (fun c -> String.make 1 (Char.chr c)) (int_bound 0x1f));
+        (1, oneofl [ "\xc3\xa9"; "\xf0\x9d\x84\x9e" ]);
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_bound 4) piece) in
+  let leaf =
+    frequency
+      [
+        (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        ( 3,
+          map
+            (fun i -> Obs.Json.Int i)
+            (oneof
+               [ oneofl [ min_int; max_int; 0; -1 ]; small_signed_int; int ])
+        );
+        ( 2,
+          map
+            (fun k -> Obs.Json.Float (float_of_int ((2 * k) + 1) /. 4.))
+            (int_range (-1_000_000) 1_000_000) );
+        (3, map (fun s -> Obs.Json.Str s) str);
+      ]
+  in
+  let doc =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 2,
+                   map
+                     (fun l -> Obs.Json.Arr l)
+                     (list_size (int_bound 4) (self (n / 4))) );
+                 ( 2,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 6) (pair str (self (n / 4)))) );
+               ])
+  in
+  QCheck.Test.make ~name:"json parse of write is the identity" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string doc)
+    (fun j -> Obs.Json.of_string (Obs.Json.to_string j) = Ok j)
+
 (* --- trace ring retained counter --- *)
 
 let test_trace_retained_o1 () =
@@ -810,6 +1051,8 @@ let () =
           Alcotest.test_case "deterministic across runs" `Quick
             test_causal_deterministic;
           Alcotest.test_case "json roundtrip" `Quick test_causal_json_roundtrip;
+          Alcotest.test_case "decoders' tolerance rules" `Quick
+            test_decoder_tolerance;
         ] );
       ( "critical-path",
         [
@@ -817,6 +1060,8 @@ let () =
             test_critical_path_known_chain;
           Alcotest.test_case "real run sums exactly" `Quick
             test_critical_path_of_real_run;
+          Alcotest.test_case "ids anywhere in the int range" `Quick
+            test_critical_path_any_ids;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_shared_index; prop_worst_path ] );
@@ -841,8 +1086,14 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_json_parser_rejects_garbage;
           Alcotest.test_case "malformed edges" `Quick test_json_malformed_edges;
+          Alcotest.test_case "\\u escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "numbers, errors and key slots" `Quick
+            test_json_literals;
+          Alcotest.test_case "R4 document byte for byte" `Quick
+            test_json_r4_document;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_json_roundtrip ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_json_roundtrip; prop_json_value_roundtrip ] );
       ( "satellites",
         [
           Alcotest.test_case "trace retained O(1)" `Quick test_trace_retained_o1;

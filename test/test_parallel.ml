@@ -19,8 +19,13 @@ let check_same_run (a : R.outcome) (b : R.outcome) =
     (Obs.Json.to_string (R.outcome_json b))
 
 (* What `--baseline-out` would write must be the committed file, byte for
-   byte. Entries are compared first so a mismatch names the experiment. *)
-let check_baseline path (outcomes : R.outcome list) =
+   byte. Entries are compared first so a mismatch names the experiment.
+   The baselines are found from the executable, not the working
+   directory, so the suite also runs from the repository root. *)
+let check_baseline name (outcomes : R.outcome list) =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) ("../bench/" ^ name)
+  in
   let committed = In_channel.with_open_bin path In_channel.input_all in
   let entries =
     match Obs.Json.of_string committed with
@@ -31,13 +36,13 @@ let check_baseline path (outcomes : R.outcome list) =
     (fun (o : R.outcome) ->
       let id = o.spec.R.id in
       Alcotest.(check (option string))
-        (path ^ ": " ^ id)
+        (name ^ ": " ^ id)
         (Some (Obs.Json.to_string (R.outcome_json ~metrics_only:true o)))
         (List.find_opt (fun e -> Obs.Json.str_field "id" e = Some id) entries
         |> Option.map Obs.Json.to_string))
     outcomes;
   Alcotest.(check bool)
-    (path ^ ": whole file identical")
+    (name ^ ": whole file identical")
     true
     (committed
     = Obs.Json.to_string (R.report_json ~quick:true ~metrics_only:true outcomes)
@@ -52,10 +57,10 @@ let test_jobs_invariant () =
   Alcotest.(check int) "experiment count"
     (List.length serial) (List.length parallel);
   List.iter2 check_same_run serial parallel;
-  check_baseline "../bench/baseline.json" parallel
+  check_baseline "baseline.json" parallel
 
 let test_sharded_baseline () =
-  check_baseline "../bench/baseline-sharded.json"
+  check_baseline "baseline-sharded.json"
     (suite ~coherence:Coherence.Protocol.Sharded_dir ~jobs:4 ())
 
 let test_no_host_time () =

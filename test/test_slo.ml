@@ -303,7 +303,11 @@ let test_r4_analyze_golden () =
     | Error e -> Alcotest.fail e
   in
   let expected =
-    In_channel.with_open_bin "r4_quick_analyze.expected" In_channel.input_all
+    In_channel.with_open_bin
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "r4_quick_analyze.expected")
+      In_channel.input_all
   in
   match Obs.Report.analyze_doc doc with
   | Ok report -> Alcotest.(check string) "analyze report" expected report

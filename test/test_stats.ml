@@ -88,33 +88,6 @@ let test_series () =
            String.length l > 0 && l.[0] = '|'
            && String.index_opt l '-' <> None))
 
-let test_timeseries () =
-  let ts = Stats.Timeseries.create ~bucket_ns:100 in
-  Stats.Timeseries.add ts ~at:10 1.;
-  Stats.Timeseries.add ts ~at:90 2.;
-  Stats.Timeseries.add ts ~at:150 5.;
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "bucketed"
-    [ (0, 3.); (100, 5.) ]
-    (Stats.Timeseries.buckets ts);
-  Alcotest.(check (float 1e-9)) "total" 8. (Stats.Timeseries.total ts)
-
-let test_timeseries_span () =
-  let ts = Stats.Timeseries.create ~bucket_ns:100 in
-  (* 50..250 covers half of bucket 0, all of bucket 1, half of bucket 2. *)
-  Stats.Timeseries.add_span ts ~from_ns:50 ~until_ns:250;
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "split exactly"
-    [ (0, 50.); (100, 100.); (200, 50.) ]
-    (Stats.Timeseries.buckets ts);
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "normalised utilisation"
-    [ (0, 0.5); (100, 1.0); (200, 0.5) ]
-    (Stats.Timeseries.normalised ts);
-  (* Degenerate span is a no-op. *)
-  Stats.Timeseries.add_span ts ~from_ns:300 ~until_ns:300;
-  Alcotest.(check (float 1e-9)) "unchanged" 200. (Stats.Timeseries.total ts)
-
 let prop_histogram_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentiles monotone" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 100) (float_bound_exclusive 1e6))
@@ -145,11 +118,6 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "formatting" `Quick test_formatting;
           Alcotest.test_case "series" `Quick test_series;
-        ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "bucketing" `Quick test_timeseries;
-          Alcotest.test_case "span splitting" `Quick test_timeseries_span;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
